@@ -24,6 +24,11 @@ run_preset() {
   echo "==> ${preset}: OK"
 }
 
+# The one list of suites that run under TSan (CI calls `check.sh tsan`):
+# the serving layer, the net front-end, the store, the work-stealing pool,
+# and the observability plane hold all of the repo's cross-thread sharing.
+TSAN_FILTER='^(Service|Net|Store|WorkStealingPool|Delta|Metrics|Trace|Observability|Join2|CrossMatch|Subscribe|Async|Admin|Profiler)'
+
 mode=${1:-release}
 [ $# -gt 0 ] && shift
 
@@ -36,13 +41,13 @@ case "${mode}" in
     # triple their runtime under it for no additional coverage. The filter
     # comes last so a forwarded -R cannot accidentally widen the run
     # (ctest honors the last -R).
-    run_preset tsan "$@" -R '^(Service|Net|Store|Delta|Metrics|Trace|Observability|Join2|CrossMatch|Subscribe|Async|Admin|Profiler)'
+    run_preset tsan "$@" -R "${TSAN_FILTER}"
     ;;
   all)
     run_preset release "$@"
     run_preset asan "$@"
     run_preset ubsan "$@"
-    run_preset tsan "$@" -R '^(Service|Net|Store|Delta|Metrics|Trace|Observability|Join2|CrossMatch|Subscribe|Async|Admin|Profiler)'
+    run_preset tsan "$@" -R "${TSAN_FILTER}"
     ;;
   *)
     echo "usage: $0 [release|debug|asan|ubsan|tsan|all] [ctest args...]" >&2

@@ -72,7 +72,8 @@ Admission AdmissionController::TryAdmit(size_t request_bytes,
     return Admission::kQueueWatermark;
   }
   if (policy_.max_in_flight_bytes > 0 &&
-      in_flight_bytes_ + request_bytes > policy_.max_in_flight_bytes) {
+      counters_.bytes_in_flight + request_bytes >
+          policy_.max_in_flight_bytes) {
     ++counters_.inflight_bytes;
     return Admission::kInFlightBytes;
   }
@@ -91,7 +92,7 @@ Admission AdmissionController::TryAdmit(size_t request_bytes,
     }
     bucket.tokens -= 1.0;
   }
-  in_flight_bytes_ += request_bytes;
+  counters_.bytes_in_flight += request_bytes;
   ++counters_.admitted;
   ++bucket.admitted;
   return Admission::kAdmitted;
@@ -99,16 +100,16 @@ Admission AdmissionController::TryAdmit(size_t request_bytes,
 
 void AdmissionController::Release(size_t request_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  ACT_CHECK_MSG(in_flight_bytes_ >= request_bytes,
+  ACT_CHECK_MSG(counters_.bytes_in_flight >= request_bytes,
                 "Release without a matching TryAdmit admission");
-  in_flight_bytes_ -= request_bytes;
+  counters_.bytes_in_flight -= request_bytes;
 }
 
 void AdmissionController::Refund(size_t request_bytes, std::string_view peer) {
   std::lock_guard<std::mutex> lock(mu_);
-  ACT_CHECK_MSG(in_flight_bytes_ >= request_bytes,
+  ACT_CHECK_MSG(counters_.bytes_in_flight >= request_bytes,
                 "Refund without a matching TryAdmit admission");
-  in_flight_bytes_ -= request_bytes;
+  counters_.bytes_in_flight -= request_bytes;
   if (policy_.rate_limit_qps > 0) {
     // Re-credit the token TryAdmit took from this peer's bucket; the burst
     // ceiling still applies (refill may have topped the bucket up since).
@@ -140,7 +141,7 @@ std::vector<service::PeerAdmissionStats> AdmissionController::PerPeer() const {
 
 size_t AdmissionController::in_flight_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return in_flight_bytes_;
+  return counters_.bytes_in_flight;
 }
 
 void AdmissionController::RegisterMetrics(

@@ -94,6 +94,9 @@ class AdmissionController {
     uint64_t queue_watermark = 0;
     /// Admissions rolled back via Refund (the request never did work).
     uint64_t refunded = 0;
+    /// Payload bytes admitted and not yet Released or Refunded (a gauge,
+    /// not a counter: zero whenever nothing is in flight).
+    uint64_t bytes_in_flight = 0;
 
     uint64_t TotalRejected() const {
       return rate_limited + inflight_bytes + queue_watermark;
@@ -113,17 +116,17 @@ class AdmissionController {
                      std::string_view peer = "");
 
   /// Returns an admitted request's bytes to the budget; call when its
-  /// response is complete. The rate token stays consumed — the request
-  /// did real work (this is also the right call for malformed payloads:
-  /// a flood of garbage should still be rate-limited).
+  /// real response is complete. The rate token stays consumed — the
+  /// request did real work.
   void Release(size_t request_bytes);
 
   /// Rolls back an admission whose request did *no* work because this
-  /// server refused it after the fact (service queue full, shutting
-  /// down): returns the bytes like Release and re-credits the rate token
-  /// TryAdmit consumed from `peer`'s bucket, so a queue-full burst cannot
-  /// drain the bucket and double-penalize that client. Pair with exactly
-  /// one kAdmitted, in place of (never in addition to) Release.
+  /// server refused it after the fact (undecodable payload, service queue
+  /// full, shutting down — any typed error reply): returns the bytes like
+  /// Release and re-credits the rate token TryAdmit consumed from `peer`'s
+  /// bucket, so a burst of refused requests cannot drain the bucket and
+  /// double-penalize that client. Pair with exactly one kAdmitted, in
+  /// place of (never in addition to) Release.
   void Refund(size_t request_bytes, std::string_view peer = "");
 
   Counters counters() const;
@@ -168,7 +171,6 @@ class AdmissionController {
   mutable std::mutex mu_;
   std::unordered_map<std::string, PeerBucket, PeerHash, std::equal_to<>>
       buckets_;
-  size_t in_flight_bytes_ = 0;
   Counters counters_;
 };
 

@@ -70,6 +70,63 @@ WireError ToWireError(Admission verdict) {
   ACT_UNREACHABLE();
 }
 
+WireError ToWireError(service::SubmitStatus status) {
+  switch (status) {
+    case service::SubmitStatus::kQueueFull:
+      return WireError::kQueueFull;
+    case service::SubmitStatus::kUnknownDataset:
+      // Unreachable in practice (the door checks the dataset before
+      // admission), but the mapping stays total in case the service grows
+      // new door checks.
+      return WireError::kUnknownDataset;
+    default:
+      return WireError::kShuttingDown;
+  }
+}
+
+WireError ToWireError(service::MutationStatus status) {
+  switch (status) {
+    case service::MutationStatus::kUnknownDataset:
+      return WireError::kUnknownDataset;
+    case service::MutationStatus::kDropped:
+      return WireError::kDatasetDropped;
+    case service::MutationStatus::kInvalidMutation:
+      return WireError::kInvalidMutation;
+    default:
+      return WireError::kShuttingDown;
+  }
+}
+
+/// An ERROR frame; the message defaults to the code's name.
+std::vector<uint8_t> ErrorFrame(uint64_t request_id, WireError code,
+                                std::string_view message = {}) {
+  return EncodeErrorFrame(request_id, code,
+                          message.empty() ? ToString(code) : message);
+}
+
+/// The typed verdict for a dataset the catalog cannot serve. A tombstoned
+/// id gets the more specific error: the id exists, its data was dropped —
+/// retrying with the same id is pointless until a full publish resurrects
+/// it.
+WireError UnservableError(const service::ServiceCatalog& catalog,
+                          uint16_t id) {
+  return catalog.IsDropped(id) ? WireError::kDatasetDropped
+                               : WireError::kUnknownDataset;
+}
+
+/// A dataset error naming the offending side of a crossmatch, so a client
+/// joining two datasets knows which one to fix.
+std::string SideMessage(WireError code, const char* side, uint16_t id) {
+  return std::string(ToString(code)) + " (" + side + "=" +
+         std::to_string(id) + ")";
+}
+
+bool IsMutation(MessageType type) {
+  return type == MessageType::kAddPolygons ||
+         type == MessageType::kRemovePolygons ||
+         type == MessageType::kDropDataset;
+}
+
 }  // namespace
 
 struct JoinServer::Connection {
@@ -208,7 +265,7 @@ JoinServer::JoinServer(service::JoinService* service,
         "Requests admitted but not yet answered (summed over connections)",
         "", [this] {
           std::lock_guard<std::mutex> lock(inflight_mu_);
-          return static_cast<double>(inflight_joins_);
+          return static_cast<double>(inflight_requests_);
         });
     subscriptions_.RegisterMetrics(registry);
     admission_.RegisterMetrics(registry);
@@ -273,10 +330,10 @@ void JoinServer::Stop() {
   // which outlives Stop(); their sinks post into inboxes that also
   // outlive Stop() — the frames are simply never written.)
   service_->set_subscription_matcher(nullptr);
-  // Phase 1: refuse new joins but keep the loops flushing, so every
-  // admitted join still gets its response on the wire. stopping_ flips
-  // under inflight_mu_: HandleJoinBatch checks it under the same mutex
-  // when it increments, so every join that passed the check is already
+  // Phase 1: refuse new requests but keep the loops flushing, so every
+  // admitted request still gets its response on the wire. stopping_ flips
+  // under inflight_mu_: StartWork checks it under the same mutex when it
+  // increments, so every request that passed the check is already
   // counted by the time the wait below can observe zero — no admission
   // can slip past the drain and run its hook on a destroyed server.
   {
@@ -285,7 +342,7 @@ void JoinServer::Stop() {
   }
   {
     std::unique_lock<std::mutex> lock(inflight_mu_);
-    inflight_cv_.wait(lock, [&] { return inflight_joins_ == 0; });
+    inflight_cv_.wait(lock, [&] { return inflight_requests_ == 0; });
   }
   // Phase 2: tear down the event loops.
   running_.store(false, std::memory_order_release);
@@ -343,7 +400,7 @@ service::ServiceStats JoinServer::StatsWithAdmission() const {
   out.active_subscriptions = subscriptions_.active_subscriptions();
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
-    out.outstanding_requests = inflight_joins_;
+    out.outstanding_requests = inflight_requests_;
   }
   out.events_pushed = events_pushed_.load(std::memory_order_relaxed);
   out.events_dropped = events_dropped_.load(std::memory_order_relaxed);
@@ -387,7 +444,7 @@ void JoinServer::IoLoop(int t) {
         uint64_t drained;
         while (::read(io.wake.get(), &drained, sizeof(drained)) > 0) {
         }
-        ProcessInbox(t, io);
+        ProcessInbox(io);
         continue;
       }
       if (token == kListenerToken) {
@@ -417,7 +474,7 @@ void JoinServer::IoLoop(int t) {
   // Deliver any responses the final inbox wake posted, then give slow
   // readers a bounded chance at bytes the nonblocking path could not
   // write (an admitted join's response should not die with the loop).
-  ProcessInbox(t, io);
+  ProcessInbox(io);
   for (auto& [id, conn] : io.conns) {
     FlushPendingBlocking(*conn);
     // Whatever the bounded flush could not deliver dies with the
@@ -438,25 +495,24 @@ void JoinServer::FlushPendingBlocking(Connection& conn) {
   ::setsockopt(conn.fd.get(), SOL_SOCKET, SO_SNDTIMEO, &timeout,
                sizeof(timeout));
   while (!conn.out.empty()) {
-    const Connection::OutFrame& front = conn.out.front();
-    ssize_t w = ::send(conn.fd.get(), front.bytes.data() + conn.out_offset,
-                       front.bytes.size() - conn.out_offset, MSG_NOSIGNAL);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return;  // timed out or the peer is gone: best effort is over
-    }
-    conn.out_offset += static_cast<size_t>(w);
-    if (conn.out_offset == front.bytes.size()) {
-      if (front.sub == 0) {
-        responses_sent_.fetch_add(1, std::memory_order_relaxed);
-      } else if (!front.is_gap) {
-        --conn.event_frames_queued;
-        event_outbox_depth_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      conn.out.pop_front();
-      conn.out_offset = 0;
-    }
+    ssize_t w = SendFront(conn);
+    if (w > 0 || (w < 0 && errno == EINTR)) continue;
+    return;  // timed out or the peer is gone: best effort is over
   }
+}
+
+void JoinServer::AdoptConnection(IoThread& io, int cfd) {
+  auto conn = std::make_unique<Connection>();
+  conn->fd = UniqueFd(cfd);
+  conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
+  conn->peer =
+      PeerAddress(conn->fd.get(), opts_.peer_key == PeerKeyPolicy::kIpPort);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = conn->id;
+  ACT_CHECK(::epoll_ctl(io.epoll.get(), EPOLL_CTL_ADD, conn->fd.get(), &ev) ==
+            0);
+  io.conns.emplace(conn->id, std::move(conn));
 }
 
 void JoinServer::AcceptNewConnections(IoThread& io) {
@@ -474,17 +530,7 @@ void JoinServer::AcceptNewConnections(IoThread& io) {
                       static_cast<uint32_t>(io_.size());
     if (target == 0) {
       // The acceptor thread adopts directly — no inbox round-trip.
-      auto conn = std::make_unique<Connection>();
-      conn->fd = UniqueFd(cfd);
-      conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-      conn->peer = PeerAddress(conn->fd.get(),
-                               opts_.peer_key == PeerKeyPolicy::kIpPort);
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.u64 = conn->id;
-      ACT_CHECK(::epoll_ctl(io.epoll.get(), EPOLL_CTL_ADD, conn->fd.get(),
-                            &ev) == 0);
-      io.conns.emplace(conn->id, std::move(conn));
+      AdoptConnection(io, cfd);
     } else {
       IoThread& dest = *io_[target];
       {
@@ -496,7 +542,7 @@ void JoinServer::AcceptNewConnections(IoThread& io) {
   }
 }
 
-void JoinServer::ProcessInbox(int t, IoThread& io) {
+void JoinServer::ProcessInbox(IoThread& io) {
   std::vector<int> accepts;
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> responses;
   std::vector<std::pair<uint64_t, service::EventBatch>> events;
@@ -506,19 +552,7 @@ void JoinServer::ProcessInbox(int t, IoThread& io) {
     responses.swap(io.pending_responses);
     events.swap(io.pending_events);
   }
-  for (int cfd : accepts) {
-    auto conn = std::make_unique<Connection>();
-    conn->fd = UniqueFd(cfd);
-    conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-    conn->peer = PeerAddress(conn->fd.get(),
-                             opts_.peer_key == PeerKeyPolicy::kIpPort);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = conn->id;
-    ACT_CHECK(::epoll_ctl(io.epoll.get(), EPOLL_CTL_ADD, conn->fd.get(),
-                          &ev) == 0);
-    io.conns.emplace(conn->id, std::move(conn));
-  }
+  for (int cfd : accepts) AdoptConnection(io, cfd);
   for (auto& [conn_id, frame] : responses) {
     auto it = io.conns.find(conn_id);
     if (it == io.conns.end()) continue;  // client went away; drop the reply
@@ -535,7 +569,6 @@ void JoinServer::ProcessInbox(int t, IoThread& io) {
     QueueEvent(io, conn, std::move(batch));
     if (conn.dead) CloseConnection(io, conn_id);
   }
-  (void)t;
 }
 
 void JoinServer::HandleReadable(int t, IoThread& io, Connection& conn) {
@@ -578,8 +611,7 @@ void JoinServer::ParseFrames(int t, IoThread& io, Connection& conn) {
     if (verdict == FrameParse::kProtocolError) {
       // Byte sync is lost: answer typed, then close once it is flushed.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      QueueResponse(io, conn,
-                    EncodeErrorFrame(header.request_id, err, ToString(err)));
+      QueueResponse(io, conn, ErrorFrame(header.request_id, err));
       conn.close_after_flush = true;
       break;
     }
@@ -625,11 +657,7 @@ void JoinServer::DispatchFrame(int t, IoThread& io, Connection& conn,
     case MessageType::kGetMetrics: {
       MetricsFormat format;
       if (!DecodeGetMetrics(payload, &format)) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        QueueResponse(
-            io, conn,
-            EncodeErrorFrame(header.request_id, WireError::kMalformedPayload,
-                             ToString(WireError::kMalformedPayload)));
+        Reject(io, conn, header.request_id, WireError::kMalformedPayload);
         return;
       }
       // Collection walks registered callbacks under the registry mutex —
@@ -674,11 +702,111 @@ void JoinServer::DispatchFrame(int t, IoThread& io, Connection& conn,
     default:
       // Framing is intact, only the type is unknown: typed error, keep the
       // connection (a newer client may mix in messages we don't speak).
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      QueueResponse(io, conn,
-                    EncodeErrorFrame(header.request_id, WireError::kUnknownType,
-                                     ToString(WireError::kUnknownType)));
+      Reject(io, conn, header.request_id, WireError::kUnknownType);
       return;
+  }
+}
+
+// The request lifecycle (docs/wire_protocol.md, "Request lifecycle") has
+// one refund rule: a request answered with an error did no work and gets
+// its rate token and bytes back (Refund); one answered with its real reply
+// Releases its bytes. An accepted subscription is the one exception: its
+// bytes stay charged until unsubscribe / close.
+
+bool JoinServer::Admit(IoThread& io, Connection& conn,
+                       const FrameHeader& header, size_t bytes) {
+  // Load shedding comes first, and it only needs the payload *size*:
+  // a rejected request must cost O(1), not an O(payload) decode.
+  if (stopping_.load(std::memory_order_acquire)) {
+    Reject(io, conn, header.request_id, WireError::kShuttingDown);
+    return false;
+  }
+  // Unknown (or offline: reserved id with no loadable snapshot) datasets
+  // are knowable from the header alone — reject before the admission
+  // knobs so the bounce costs no rate token, and before the decode so it
+  // costs O(1). Ids and snapshots are assigned-only, so a positive check
+  // cannot be invalidated later. A mutation only needs an assigned, live
+  // id: anything subtler (an offline snapshot, a drop racing this frame)
+  // is re-checked by the service, whose typed verdict wins.
+  const service::ServiceCatalog& catalog = service_->catalog();
+  const uint16_t id = header.dataset_id;
+  const bool open = IsMutation(header.type)
+                        ? catalog.Contains(id) && !catalog.IsDropped(id)
+                        : catalog.Servable(id);
+  if (!open) {
+    WireError code = UnservableError(catalog, id);
+    Reject(io, conn, header.request_id, code,
+           header.type == MessageType::kJoinDatasets
+               ? SideMessage(code, "dataset_a", id)
+               : std::string());
+    return false;
+  }
+  Admission verdict =
+      admission_.TryAdmit(bytes, service_->QueueDepth(), conn.peer);
+  if (verdict == Admission::kAdmitted) return true;
+  Reject(io, conn, header.request_id, ToWireError(verdict));
+  return false;
+}
+
+void JoinServer::RejectAdmitted(IoThread& io, Connection& conn,
+                                uint64_t request_id, size_t bytes,
+                                WireError code, std::string_view message) {
+  admission_.Refund(bytes, conn.peer);
+  Reject(io, conn, request_id, code, message);
+}
+
+void JoinServer::Reject(IoThread& io, Connection& conn, uint64_t request_id,
+                        WireError code, std::string_view message) {
+  switch (code) {
+    case WireError::kShuttingDown:
+      rejected_stopping_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case WireError::kUnknownDataset:
+    case WireError::kDatasetDropped:
+      rejected_unknown_dataset_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case WireError::kMalformedPayload:
+    case WireError::kUnknownType:
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    default:
+      break;
+  }
+  QueueResponse(io, conn, ErrorFrame(request_id, code, message));
+}
+
+bool JoinServer::StartWork(IoThread& io, Connection& conn,
+                           uint64_t request_id, size_t bytes) {
+  {
+    // The authoritative stopping check: under the same mutex Stop() uses
+    // to flip stopping_, so check-then-increment is atomic against the
+    // drain (Admit's relaxed check is just an early out).
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    if (!stopping_.load(std::memory_order_acquire)) {
+      ++inflight_requests_;
+      return true;
+    }
+  }
+  RejectAdmitted(io, conn, request_id, bytes, WireError::kShuttingDown);
+  return false;
+}
+
+void JoinServer::Settle(int t, uint64_t conn_id, size_t bytes,
+                        const std::string* refund_peer,
+                        std::vector<uint8_t> frame) {
+  if (refund_peer != nullptr) {
+    admission_.Refund(bytes, *refund_peer);
+  } else {
+    admission_.Release(bytes);
+  }
+  DeliverAsync(t, conn_id, std::move(frame));
+  {
+    // Notify under the lock: Stop() may destroy this condvar the moment
+    // its wait observes zero, so the notify must complete before the
+    // waiter can acquire the mutex.
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    --inflight_requests_;
+    inflight_cv_.notify_all();
   }
 }
 
@@ -692,7 +820,7 @@ void JoinServer::HandleJoinBatch(int t, IoThread& io, Connection& conn,
   // Hardware-counter attribution for the event-loop stages. The trace
   // flag proper is decoded later, but it sits at a fixed payload offset
   // (QueryBatch flags byte, bit 0) — peeked here so only traced requests
-  // pay the counter reads, and rejected ones pay nothing.
+  // pay the counter reads.
   util::StagePerfCounters* io_perf = nullptr;
   util::StageCounterSample perf_entry{};
   if (service_->options().stage_perf_counters && payload.size() >= 2 &&
@@ -701,42 +829,8 @@ void JoinServer::HandleJoinBatch(int t, IoThread& io, Connection& conn,
         service_->options().stage_perf_simulate_denied);
     if (io_perf != nullptr) perf_entry = io_perf->Read();
   }
-  // Load shedding comes first, and it only needs the payload *size*:
-  // a rejected request must cost O(1), not an O(payload) decode.
-  if (stopping_.load(std::memory_order_acquire)) {
-    rejected_stopping_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kShuttingDown,
-                         ToString(WireError::kShuttingDown)));
-    return;
-  }
-  // Unknown (or offline: reserved id with no loadable snapshot) datasets
-  // are knowable from the header alone — reject before the admission
-  // knobs so the bounce costs no rate token, and before the decode so it
-  // costs O(1). Ids and snapshots are assigned-only, so a positive check
-  // cannot be invalidated later.
-  if (!service_->catalog().Servable(header.dataset_id)) {
-    // A tombstoned id gets the more specific error: the id exists, its
-    // data was dropped — retrying with the same id is pointless until a
-    // full publish resurrects it.
-    WireError code = service_->catalog().IsDropped(header.dataset_id)
-                         ? WireError::kDatasetDropped
-                         : WireError::kUnknownDataset;
-    rejected_unknown_dataset_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(io, conn,
-                  EncodeErrorFrame(header.request_id, code, ToString(code)));
-    return;
-  }
   const size_t bytes = payload.size();
-  Admission verdict =
-      admission_.TryAdmit(bytes, service_->QueueDepth(), conn.peer);
-  if (verdict != Admission::kAdmitted) {
-    WireError code = ToWireError(verdict);
-    QueueResponse(io, conn, EncodeErrorFrame(header.request_id, code,
-                                             ToString(code)));
-    return;
-  }
+  if (!Admit(io, conn, header, bytes)) return;
   const double admission_us = stage_timer.ElapsedSeconds() * 1e6;
   util::StageCounterSample admission_counters{};
   util::StageCounterSample perf_admitted{};
@@ -747,12 +841,8 @@ void JoinServer::HandleJoinBatch(int t, IoThread& io, Connection& conn,
 
   service::QueryBatch batch;
   if (!DecodeQueryBatch(payload, &batch)) {
-    admission_.Release(bytes);  // garbage still burns the rate token
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kMalformedPayload,
-                         ToString(WireError::kMalformedPayload)));
+    RejectAdmitted(io, conn, header.request_id, bytes,
+                   WireError::kMalformedPayload);
     return;
   }
   const double decode_us = stage_timer.ElapsedSeconds() * 1e6 - admission_us;
@@ -761,28 +851,7 @@ void JoinServer::HandleJoinBatch(int t, IoThread& io, Connection& conn,
     decode_counters = io_perf->Read() - perf_admitted;
   }
 
-  bool stopping_now = false;
-  {
-    // The authoritative stopping check: under the same mutex Stop() uses
-    // to flip stopping_, so check-then-increment is atomic against the
-    // drain (the relaxed check above is just an early out).
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      stopping_now = true;
-    } else {
-      ++inflight_joins_;
-    }
-  }
-  if (stopping_now) {
-    admission_.Refund(bytes, conn.peer);  // no work done; see queue-full
-    rejected_stopping_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kShuttingDown,
-                         ToString(WireError::kShuttingDown)));
-    return;
-  }
-  const uint64_t conn_id = conn.id;
+  if (!StartWork(io, conn, header.request_id, bytes)) return;
   const uint64_t request_id = header.request_id;
   batch.dataset_id = header.dataset_id;
   // The wire request id doubles as the trace id so a slow-query entry or
@@ -791,8 +860,9 @@ void JoinServer::HandleJoinBatch(int t, IoThread& io, Connection& conn,
   service::SubmitStatus status = service_->TrySubmitAsync(
       std::move(batch),
       // Runs on the service worker that executed the join.
-      [this, t, conn_id, request_id, bytes, admission_us, decode_us,
-       admission_counters, decode_counters](service::JoinResult result) {
+      [this, t, conn_id = conn.id, request_id, bytes, admission_us,
+       decode_us, admission_counters,
+       decode_counters](service::JoinResult result) {
         if (result.trace.enabled) {
           // The service fills queue/decompose/probe/merge; the server owns
           // the stages on either side of the submit boundary.
@@ -840,43 +910,11 @@ void JoinServer::HandleJoinBatch(int t, IoThread& io, Connection& conn,
             PatchRespondStage(&frame, respond_us);
           }
         }
-        admission_.Release(bytes);
-        DeliverAsync(t, conn_id, std::move(frame));
-        {
-          // Notify under the lock: Stop() may destroy this condvar the
-          // moment its wait observes zero, so the notify must complete
-          // before the waiter can acquire the mutex.
-          std::lock_guard<std::mutex> lock(inflight_mu_);
-          --inflight_joins_;
-          inflight_cv_.notify_all();
-        }
+        Settle(t, conn_id, bytes, nullptr, std::move(frame));
       });
   if (status != service::SubmitStatus::kAccepted) {
-    // The service refused after admission passed: the request did no work,
-    // so give the rate token back too — a queue-full burst must not drain
-    // the bucket and double-penalize the client.
-    admission_.Refund(bytes, conn.peer);
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_joins_;
-      inflight_cv_.notify_all();  // under the lock; see the hook above
-    }
-    WireError code;
-    switch (status) {
-      case service::SubmitStatus::kQueueFull:
-        code = WireError::kQueueFull;
-        break;
-      case service::SubmitStatus::kUnknownDataset:
-        // Unreachable in practice (checked pre-admission above), but the
-        // mapping stays total in case the service grows new door checks.
-        code = WireError::kUnknownDataset;
-        break;
-      default:
-        code = WireError::kShuttingDown;
-        break;
-    }
-    QueueResponse(io, conn,
-                  EncodeErrorFrame(request_id, code, ToString(code)));
+    Settle(t, conn.id, bytes, &conn.peer,
+           ErrorFrame(request_id, ToWireError(status)));
   }
 }
 
@@ -921,112 +959,36 @@ std::vector<std::vector<uint8_t>> EncodePairChunks(
   return frames;
 }
 
-/// Typed rejection for a crossmatch side, with the offending dataset
-/// named in the message so a client joining two datasets knows which one
-/// to fix.
-std::vector<uint8_t> EncodeCrossMatchError(
-    uint64_t request_id, const join2::CrossMatchOutcome& outcome,
-    uint16_t dataset_a) {
-  WireError code = outcome.status == join2::CrossMatchStatus::kDatasetDropped
-                       ? WireError::kDatasetDropped
-                       : WireError::kUnknownDataset;
-  std::string message = std::string(ToString(code)) +
-                        (outcome.offending_dataset == dataset_a
-                             ? " (dataset_a=": " (dataset_b=") +
-                        std::to_string(outcome.offending_dataset) + ")";
-  return EncodeErrorFrame(request_id, code, message);
-}
-
 }  // namespace
 
 void JoinServer::HandleJoinDatasets(int t, IoThread& io, Connection& conn,
                                     const FrameHeader& header,
                                     std::span<const uint8_t> payload) {
-  // Same shape as HandleJoinBatch: shed load first (O(1), no decode),
-  // then the knowable-from-the-header a-side check before the admission
-  // knobs, then decode, then the authoritative drain check. The stage
-  // timer serves the v7 trace; untraced requests pay two clock reads.
+  // The stage timer serves the v7 trace; untraced requests pay two clock
+  // reads.
   util::WallTimer stage_timer;
-  if (stopping_.load(std::memory_order_acquire)) {
-    rejected_stopping_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kShuttingDown,
-                         ToString(WireError::kShuttingDown)));
-    return;
-  }
-  if (!service_->catalog().Servable(header.dataset_id)) {
-    WireError code = service_->catalog().IsDropped(header.dataset_id)
-                         ? WireError::kDatasetDropped
-                         : WireError::kUnknownDataset;
-    rejected_unknown_dataset_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, code,
-                         std::string(ToString(code)) + " (dataset_a=" +
-                             std::to_string(header.dataset_id) + ")"));
-    return;
-  }
   const size_t bytes = payload.size();
-  Admission verdict =
-      admission_.TryAdmit(bytes, service_->QueueDepth(), conn.peer);
-  if (verdict != Admission::kAdmitted) {
-    WireError code = ToWireError(verdict);
-    QueueResponse(io, conn, EncodeErrorFrame(header.request_id, code,
-                                             ToString(code)));
-    return;
-  }
+  if (!Admit(io, conn, header, bytes)) return;
   const double admission_us = stage_timer.ElapsedSeconds() * 1e6;
   JoinDatasetsRequest wire_req;
   if (!DecodeJoinDatasets(payload, &wire_req)) {
-    admission_.Release(bytes);  // garbage still burns the rate token
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kMalformedPayload,
-                         ToString(WireError::kMalformedPayload)));
+    RejectAdmitted(io, conn, header.request_id, bytes,
+                   WireError::kMalformedPayload);
     return;
   }
   // The b-side needs the decoded payload, so its check lands after
-  // admission: refund (the request did no index work), reject typed with
-  // the side named. The matcher re-validates both sides on the worker —
-  // that verdict, not this early out, decides races with in-queue drops.
+  // admission, typed with the side named. The matcher re-validates both
+  // sides on the worker — that verdict, not this early out, decides races
+  // with in-queue drops.
   if (!service_->catalog().Servable(wire_req.dataset_b)) {
-    WireError code = service_->catalog().IsDropped(wire_req.dataset_b)
-                         ? WireError::kDatasetDropped
-                         : WireError::kUnknownDataset;
-    admission_.Refund(bytes, conn.peer);
-    rejected_unknown_dataset_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, code,
-                         std::string(ToString(code)) + " (dataset_b=" +
-                             std::to_string(wire_req.dataset_b) + ")"));
+    WireError code = UnservableError(service_->catalog(), wire_req.dataset_b);
+    RejectAdmitted(io, conn, header.request_id, bytes, code,
+                   SideMessage(code, "dataset_b", wire_req.dataset_b));
     return;
   }
-
-  bool stopping_now = false;
-  {
-    // Authoritative stopping check; see HandleJoinBatch.
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      stopping_now = true;
-    } else {
-      ++inflight_joins_;
-    }
-  }
-  if (stopping_now) {
-    admission_.Refund(bytes, conn.peer);
-    rejected_stopping_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kShuttingDown,
-                         ToString(WireError::kShuttingDown)));
-    return;
-  }
+  if (!StartWork(io, conn, header.request_id, bytes)) return;
 
   const double decode_us = stage_timer.ElapsedSeconds() * 1e6 - admission_us;
-  const uint64_t conn_id = conn.id;
   const uint64_t request_id = header.request_id;
   const uint16_t dataset_a = header.dataset_id;
   join2::CrossMatchRequest req;
@@ -1042,113 +1004,57 @@ void JoinServer::HandleJoinDatasets(int t, IoThread& io, Connection& conn,
       // are posted one DeliverAsync at a time: the owner thread's inbox
       // is FIFO, so the stream arrives in order with nothing interleaved
       // between chunks of one response.
-      [this, t, conn_id, request_id, bytes, dataset_a, page_size,
-       admission_us, decode_us](join2::CrossMatchOutcome outcome) {
+      [this, t, conn_id = conn.id, peer = conn.peer, request_id, bytes,
+       dataset_a, page_size, admission_us,
+       decode_us](join2::CrossMatchOutcome outcome) {
         if (outcome.status != join2::CrossMatchStatus::kOk) {
-          admission_.Release(bytes);
-          DeliverAsync(t, conn_id,
-                       EncodeCrossMatchError(request_id, outcome, dataset_a));
-        } else {
-          if (outcome.trace.enabled) {
-            // The matcher filled queue/pin/descend/refine; the front-end
-            // owns the stages on either side of the submit boundary.
-            outcome.trace.at(join2::CrossMatchStage::kAdmission) =
-                admission_us;
-            outcome.trace.at(join2::CrossMatchStage::kDecode) = decode_us;
-          }
-          // The stream stage times the chunk encode + the posts to the
-          // event loop — the cost of shipping the result — and, like the
-          // JOIN_BATCH respond slot, is patched into the frame that
-          // carries it after the fact (all chunks but the last are posted
-          // before the clock is read, so their cost is inside).
-          util::WallTimer stream_timer;
-          std::vector<std::vector<uint8_t>> frames =
-              EncodePairChunks(request_id, outcome, page_size);
-          admission_.Release(bytes);
-          for (size_t i = 0; i + 1 < frames.size(); ++i) {
-            DeliverAsync(t, conn_id, std::move(frames[i]));
-          }
-          if (outcome.trace.enabled) {
-            PatchStreamStage(&frames.back(),
-                             stream_timer.ElapsedSeconds() * 1e6);
-          }
-          DeliverAsync(t, conn_id, std::move(frames.back()));
+          WireError code =
+              outcome.status == join2::CrossMatchStatus::kDatasetDropped
+                  ? WireError::kDatasetDropped
+                  : WireError::kUnknownDataset;
+          Settle(t, conn_id, bytes, &peer,
+                 ErrorFrame(request_id, code,
+                            SideMessage(code,
+                                        outcome.offending_dataset == dataset_a
+                                            ? "dataset_a"
+                                            : "dataset_b",
+                                        outcome.offending_dataset)));
+          return;
         }
-        {
-          // Notify under the lock; see the join hook.
-          std::lock_guard<std::mutex> lock(inflight_mu_);
-          --inflight_joins_;
-          inflight_cv_.notify_all();
+        if (outcome.trace.enabled) {
+          // The matcher filled queue/pin/descend/refine; the front-end
+          // owns the stages on either side of the submit boundary.
+          outcome.trace.at(join2::CrossMatchStage::kAdmission) = admission_us;
+          outcome.trace.at(join2::CrossMatchStage::kDecode) = decode_us;
         }
+        // The stream stage times the chunk encode + the posts to the
+        // event loop — the cost of shipping the result — and, like the
+        // JOIN_BATCH respond slot, is patched into the frame that carries
+        // it after the fact (all chunks but the last are posted before
+        // the clock is read, so their cost is inside).
+        util::WallTimer stream_timer;
+        std::vector<std::vector<uint8_t>> frames =
+            EncodePairChunks(request_id, outcome, page_size);
+        for (size_t i = 0; i + 1 < frames.size(); ++i) {
+          DeliverAsync(t, conn_id, std::move(frames[i]));
+        }
+        if (outcome.trace.enabled) {
+          PatchStreamStage(&frames.back(),
+                           stream_timer.ElapsedSeconds() * 1e6);
+        }
+        Settle(t, conn_id, bytes, nullptr, std::move(frames.back()));
       });
   if (status != service::SubmitStatus::kAccepted) {
-    admission_.Refund(bytes, conn.peer);
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_joins_;
-      inflight_cv_.notify_all();
-    }
-    WireError code;
-    switch (status) {
-      case service::SubmitStatus::kQueueFull:
-        code = WireError::kQueueFull;
-        break;
-      case service::SubmitStatus::kUnknownDataset:
-        // Unreachable in practice (a-side checked pre-admission; the
-        // matcher's door only rejects never-assigned a-sides).
-        code = WireError::kUnknownDataset;
-        break;
-      default:
-        code = WireError::kShuttingDown;
-        break;
-    }
-    QueueResponse(io, conn,
-                  EncodeErrorFrame(request_id, code, ToString(code)));
+    Settle(t, conn.id, bytes, &conn.peer,
+           ErrorFrame(request_id, ToWireError(status)));
   }
 }
 
 void JoinServer::HandleMutation(int t, IoThread& io, Connection& conn,
                                 const FrameHeader& header,
                                 std::span<const uint8_t> payload) {
-  if (stopping_.load(std::memory_order_acquire)) {
-    rejected_stopping_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kShuttingDown,
-                         ToString(WireError::kShuttingDown)));
-    return;
-  }
-  // Ids the catalog never assigned are knowable from the header alone:
-  // reject before the admission knobs (no rate token) and before the
-  // decode (O(1)). Tombstones likewise. Anything subtler — an offline
-  // snapshot, a drop racing this frame — is re-checked authoritatively by
-  // the service, whose typed verdict wins.
-  if (!service_->catalog().Contains(header.dataset_id) ||
-      service_->catalog().IsDropped(header.dataset_id)) {
-    WireError code = service_->catalog().IsDropped(header.dataset_id)
-                         ? WireError::kDatasetDropped
-                         : WireError::kUnknownDataset;
-    rejected_unknown_dataset_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(io, conn,
-                  EncodeErrorFrame(header.request_id, code, ToString(code)));
-    return;
-  }
   const size_t bytes = payload.size();
-  Admission verdict =
-      admission_.TryAdmit(bytes, service_->QueueDepth(), conn.peer);
-  if (verdict != Admission::kAdmitted) {
-    WireError code = ToWireError(verdict);
-    QueueResponse(io, conn, EncodeErrorFrame(header.request_id, code,
-                                             ToString(code)));
-    return;
-  }
-
-  // Refund discipline: a mutation that fails anywhere past this point —
-  // undecodable payload, drain, door rejection, or the service's own
-  // typed refusal — gets a full Refund (bytes *and* rate token), never a
-  // bare Release. It caused no index work, and a client whose update was
-  // refused typed must not also find its rate bucket drained. Exactly one
-  // of Refund / Release runs per admitted frame.
+  if (!Admit(io, conn, header, bytes)) return;
   std::vector<geom::Polygon> add;
   std::vector<uint32_t> remove;
   bool decoded = true;
@@ -1164,36 +1070,12 @@ void JoinServer::HandleMutation(int t, IoThread& io, Connection& conn,
       break;
   }
   if (!decoded) {
-    admission_.Refund(bytes, conn.peer);
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kMalformedPayload,
-                         ToString(WireError::kMalformedPayload)));
+    RejectAdmitted(io, conn, header.request_id, bytes,
+                   WireError::kMalformedPayload);
     return;
   }
+  if (!StartWork(io, conn, header.request_id, bytes)) return;
 
-  bool stopping_now = false;
-  {
-    // Authoritative stopping check; see HandleJoinBatch.
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      stopping_now = true;
-    } else {
-      ++inflight_joins_;
-    }
-  }
-  if (stopping_now) {
-    admission_.Refund(bytes, conn.peer);
-    rejected_stopping_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kShuttingDown,
-                         ToString(WireError::kShuttingDown)));
-    return;
-  }
-
-  const uint64_t conn_id = conn.id;
   const uint64_t request_id = header.request_id;
   const uint16_t dataset_id = header.dataset_id;
   const MessageType op = header.type;
@@ -1202,8 +1084,8 @@ void JoinServer::HandleMutation(int t, IoThread& io, Connection& conn,
   // worker via the mutation queue.
   service::SubmitStatus status = service_->TryMutateAsync(
       dataset_id,
-      [this, t, conn_id, request_id, bytes, dataset_id, op,
-       peer = conn.peer, add = std::move(add),
+      [this, t, conn_id = conn.id, peer = conn.peer, request_id, bytes,
+       dataset_id, op, add = std::move(add),
        remove = std::move(remove)]() mutable {
         service::MutationResult r;
         switch (op) {
@@ -1217,118 +1099,39 @@ void JoinServer::HandleMutation(int t, IoThread& io, Connection& conn,
             r = service_->DropDataset(dataset_id);
             break;
         }
-        std::vector<uint8_t> frame;
-        if (r.status == service::MutationStatus::kApplied) {
-          MutationAck ack;
-          ack.op = op;
-          ack.epoch = r.epoch;
-          ack.num_polygons = r.num_polygons;
-          ack.first_id = r.first_id;
-          admission_.Release(bytes);
-          frame = EncodeMutateResultFrame(request_id, ack);
-        } else {
-          WireError code;
-          switch (r.status) {
-            case service::MutationStatus::kUnknownDataset:
-              code = WireError::kUnknownDataset;
-              break;
-            case service::MutationStatus::kDropped:
-              code = WireError::kDatasetDropped;
-              break;
-            case service::MutationStatus::kInvalidMutation:
-              code = WireError::kInvalidMutation;
-              break;
-            default:
-              code = WireError::kShuttingDown;
-              break;
-          }
-          admission_.Refund(bytes, peer);
-          frame = EncodeErrorFrame(request_id, code, ToString(code));
+        if (r.status != service::MutationStatus::kApplied) {
+          Settle(t, conn_id, bytes, &peer,
+                 ErrorFrame(request_id, ToWireError(r.status)));
+          return;
         }
-        DeliverAsync(t, conn_id, std::move(frame));
-        {
-          // Notify under the lock; see the join completion hook.
-          std::lock_guard<std::mutex> lock(inflight_mu_);
-          --inflight_joins_;
-          inflight_cv_.notify_all();
-        }
+        MutationAck ack;
+        ack.op = op;
+        ack.epoch = r.epoch;
+        ack.num_polygons = r.num_polygons;
+        ack.first_id = r.first_id;
+        Settle(t, conn_id, bytes, nullptr,
+               EncodeMutateResultFrame(request_id, ack));
       });
   if (status != service::SubmitStatus::kAccepted) {
-    // The door dropped the work closure unrun: full refund.
-    admission_.Refund(bytes, conn.peer);
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_joins_;
-      inflight_cv_.notify_all();
-    }
-    WireError code;
-    switch (status) {
-      case service::SubmitStatus::kQueueFull:
-        code = WireError::kQueueFull;
-        break;
-      case service::SubmitStatus::kUnknownDataset:
-        code = WireError::kUnknownDataset;
-        break;
-      default:
-        code = WireError::kShuttingDown;
-        break;
-    }
-    QueueResponse(io, conn,
-                  EncodeErrorFrame(request_id, code, ToString(code)));
+    Settle(t, conn.id, bytes, &conn.peer,
+           ErrorFrame(request_id, ToWireError(status)));
   }
 }
 
 void JoinServer::HandleSubscribe(int t, IoThread& io, Connection& conn,
                                  const FrameHeader& header,
                                  std::span<const uint8_t> payload) {
-  // Same door order as joins: shed load O(1), reject never-servable
-  // targets before burning a rate token, then decode.
-  if (stopping_.load(std::memory_order_acquire)) {
-    rejected_stopping_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kShuttingDown,
-                         ToString(WireError::kShuttingDown)));
-    return;
-  }
-  if (!service_->catalog().Servable(header.dataset_id)) {
-    WireError code = service_->catalog().IsDropped(header.dataset_id)
-                         ? WireError::kDatasetDropped
-                         : WireError::kUnknownDataset;
-    rejected_unknown_dataset_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(io, conn,
-                  EncodeErrorFrame(header.request_id, code, ToString(code)));
-    return;
-  }
   const size_t bytes = payload.size();
-  Admission verdict =
-      admission_.TryAdmit(bytes, service_->QueueDepth(), conn.peer);
-  if (verdict != Admission::kAdmitted) {
-    WireError code = ToWireError(verdict);
-    QueueResponse(io, conn, EncodeErrorFrame(header.request_id, code,
-                                             ToString(code)));
-    return;
-  }
-  // Unlike a one-shot request, an accepted subscription keeps its
-  // admission bytes charged for its whole lifetime: a standing query
-  // holds index coverage and an outbox lane, so it holds admission too.
-  // Every refusal past this point refunds in full.
+  if (!Admit(io, conn, header, bytes)) return;
   service::SubscriptionSpec spec;
   if (!DecodeSubscribe(payload, &spec)) {
-    admission_.Refund(bytes, conn.peer);
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kMalformedPayload,
-                         ToString(WireError::kMalformedPayload)));
+    RejectAdmitted(io, conn, header.request_id, bytes,
+                   WireError::kMalformedPayload);
     return;
   }
   if (conn.subs.size() >= opts_.max_subscriptions_per_connection) {
-    admission_.Refund(bytes, conn.peer);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kSubscriptionLimit,
-                         ToString(WireError::kSubscriptionLimit)));
+    RejectAdmitted(io, conn, header.request_id, bytes,
+                   WireError::kSubscriptionLimit);
     return;
   }
   const uint64_t conn_id = conn.id;
@@ -1341,18 +1144,16 @@ void JoinServer::HandleSubscribe(int t, IoThread& io, Connection& conn,
       });
   if (!info.has_value()) {
     // Spec content the matcher refuses (polygon ids out of range, an
-    // empty id list) — or a drop that raced the Servable check above.
-    admission_.Refund(bytes, conn.peer);
-    WireError code = service_->catalog().Servable(header.dataset_id)
-                         ? WireError::kMalformedPayload
-                         : WireError::kDatasetDropped;
-    if (code == WireError::kMalformedPayload) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-    QueueResponse(io, conn,
-                  EncodeErrorFrame(header.request_id, code, ToString(code)));
+    // empty id list) — or a drop that raced the door's Servable check.
+    RejectAdmitted(io, conn, header.request_id, bytes,
+                   service_->catalog().Servable(header.dataset_id)
+                       ? WireError::kMalformedPayload
+                       : WireError::kDatasetDropped);
     return;
   }
+  // An accepted subscription keeps its admission bytes charged for its
+  // whole lifetime: a standing query holds index coverage and an outbox
+  // lane, so it holds admission too (released on unsubscribe / close).
   conn.subs.push_back({info->id, bytes});
   QueueResponse(io, conn,
                 EncodeSubscriptionResultFrame(header.request_id, *info));
@@ -1363,11 +1164,7 @@ void JoinServer::HandleUnsubscribe(IoThread& io, Connection& conn,
                                    std::span<const uint8_t> payload) {
   uint64_t sub_id = 0;
   if (!DecodeUnsubscribe(payload, &sub_id)) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kMalformedPayload,
-                         ToString(WireError::kMalformedPayload)));
+    Reject(io, conn, header.request_id, WireError::kMalformedPayload);
     return;
   }
   auto it = std::find_if(
@@ -1376,10 +1173,7 @@ void JoinServer::HandleUnsubscribe(IoThread& io, Connection& conn,
   if (it == conn.subs.end()) {
     // Unknown — or another connection's: a connection may only retire
     // subscriptions it opened. Recoverable either way.
-    QueueResponse(
-        io, conn,
-        EncodeErrorFrame(header.request_id, WireError::kUnknownSubscription,
-                         ToString(WireError::kUnknownSubscription)));
+    Reject(io, conn, header.request_id, WireError::kUnknownSubscription);
     return;
   }
   subscriptions_.Remove(sub_id);
@@ -1532,35 +1326,37 @@ void JoinServer::QueueEvent(IoThread& io, Connection& conn,
   FlushWrites(io, conn);
 }
 
+ssize_t JoinServer::SendFront(Connection& conn) {
+  const Connection::OutFrame& front = conn.out.front();
+  ssize_t w = ::send(conn.fd.get(), front.bytes.data() + conn.out_offset,
+                     front.bytes.size() - conn.out_offset, MSG_NOSIGNAL);
+  if (w <= 0) return w;
+  conn.out_offset += static_cast<size_t>(w);
+  if (conn.out_offset < front.bytes.size()) return w;
+  if (front.sub == 0) {
+    responses_sent_.fetch_add(1, std::memory_order_relaxed);
+  } else if (!front.is_gap) {
+    --conn.event_frames_queued;  // a droppable event frame left the box
+    event_outbox_depth_.fetch_sub(1, std::memory_order_relaxed);
+    if (event_delivery_lag_us_ != nullptr) {
+      event_delivery_lag_us_->Record(uptime_timer_.ElapsedSeconds() * 1e6 -
+                                     front.born_us);
+    }
+  }
+  conn.out.pop_front();
+  conn.out_offset = 0;
+  return w;
+}
+
 bool JoinServer::FlushWrites(IoThread& io, Connection& conn) {
   while (!conn.out.empty()) {
-    const Connection::OutFrame& front = conn.out.front();
-    ssize_t w = ::send(conn.fd.get(), front.bytes.data() + conn.out_offset,
-                       front.bytes.size() - conn.out_offset, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        UpdateEpollInterest(io, conn, /*want_write=*/true);
-        return true;
-      }
-      conn.dead = true;
-      return false;
+    if (SendFront(conn) >= 0 || errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      UpdateEpollInterest(io, conn, /*want_write=*/true);
+      return true;
     }
-    conn.out_offset += static_cast<size_t>(w);
-    if (conn.out_offset == front.bytes.size()) {
-      if (front.sub == 0) {
-        responses_sent_.fetch_add(1, std::memory_order_relaxed);
-      } else if (!front.is_gap) {
-        --conn.event_frames_queued;  // a droppable event frame left the box
-        event_outbox_depth_.fetch_sub(1, std::memory_order_relaxed);
-        if (event_delivery_lag_us_ != nullptr) {
-          event_delivery_lag_us_->Record(
-              uptime_timer_.ElapsedSeconds() * 1e6 - front.born_us);
-        }
-      }
-      conn.out.pop_front();
-      conn.out_offset = 0;
-    }
+    conn.dead = true;
+    return false;
   }
   UpdateEpollInterest(io, conn, /*want_write=*/false);
   return true;

@@ -10,12 +10,13 @@
 //   * Reads are nonblocking and incremental: bytes accumulate per
 //     connection until TryParseFrame yields a complete frame, so slow or
 //     pipelining clients never stall the loop.
-//   * A decoded JOIN_BATCH passes admission control
-//     (net::AdmissionController) and then JoinService::TrySubmitAsync —
-//     both non-blocking by contract. The completion hook runs on the
-//     service worker that executed the join; it encodes the response and
-//     posts it back to the connection's owner thread, which writes it out.
-//     The event loop itself never waits on a join.
+//   * Every admitted opcode (JOIN_BATCH, JOIN_DATASETS, the mutations,
+//     SUBSCRIBE) follows one request lifecycle: admission control
+//     (net::AdmissionController), decode, then a non-blocking submit to
+//     the service. The completion hook runs on the service worker that
+//     did the work; it encodes the response and posts it back to the
+//     connection's owner thread, which writes it out. The event loop
+//     itself never waits on a request.
 //   * Every rejection (admission knob, queue full, shutting down) is a
 //     typed ERROR response on the same connection; the connection is
 //     closed only for errors that desynchronize the byte stream.
@@ -113,8 +114,8 @@ class JoinServer {
   /// failure. Not restartable after Stop().
   bool Start(std::string* error = nullptr);
 
-  /// Drains in-flight joins (their responses still go out), then joins the
-  /// I/O threads and closes every connection. Idempotent.
+  /// Drains in-flight requests (their responses still go out), then joins
+  /// the I/O threads and closes every connection. Idempotent.
   void Stop();
 
   /// The bound port (after a successful Start()).
@@ -142,37 +143,66 @@ class JoinServer {
 
   void IoLoop(int t);
   void AcceptNewConnections(IoThread& io);
-  void ProcessInbox(int t, IoThread& io);
+  /// Registers an accepted socket with this thread's epoll set.
+  void AdoptConnection(IoThread& io, int cfd);
+  void ProcessInbox(IoThread& io);
   /// Reads until EAGAIN, then parses and dispatches every complete frame.
   void HandleReadable(int t, IoThread& io, Connection& conn);
   void ParseFrames(int t, IoThread& io, Connection& conn);
   void DispatchFrame(int t, IoThread& io, Connection& conn,
                      const FrameHeader& header,
                      std::span<const uint8_t> payload);
+
+  // The request lifecycle of the admitted opcodes (docs/wire_protocol.md,
+  // "Request lifecycle"): Admit → decode → StartWork → submit → Settle.
+
+  /// The door: the stopping_ early-out, the dataset check, then TryAdmit.
+  /// False when the frame was already answered with a typed error.
+  bool Admit(IoThread& io, Connection& conn, const FrameHeader& header,
+             size_t bytes);
+  /// Answers an admitted request that never started work: Refund, then a
+  /// typed error.
+  void RejectAdmitted(IoThread& io, Connection& conn, uint64_t request_id,
+                      size_t bytes, WireError code,
+                      std::string_view message = {});
+  /// Queues a typed error (the message defaults to the code's name) and
+  /// bumps the counter that code belongs to.
+  void Reject(IoThread& io, Connection& conn, uint64_t request_id,
+              WireError code, std::string_view message = {});
+  /// The authoritative drain check, then ++inflight. False (and rejected
+  /// kShuttingDown) once Stop() has begun.
+  bool StartWork(IoThread& io, Connection& conn, uint64_t request_id,
+                 size_t bytes);
+  /// Ends a started request, from its completion hook or from a refused
+  /// submit: exactly one Release (null `refund_peer`: the request got its
+  /// real reply) or Refund into `refund_peer`'s bucket (an error reply:
+  /// it did no work), posts `frame` to the owner thread, then drops the
+  /// in-flight count. Deliver-before-decrement is what lets Stop() drain.
+  void Settle(int t, uint64_t conn_id, size_t bytes,
+              const std::string* refund_peer, std::vector<uint8_t> frame);
+
   void HandleJoinBatch(int t, IoThread& io, Connection& conn,
                        const FrameHeader& header,
                        std::span<const uint8_t> payload);
-  /// ADD_POLYGONS / REMOVE_POLYGONS / DROP_DATASET: same admission and
-  /// drain discipline as joins, but routed through TryMutateAsync so the
-  /// clone-on-write apply runs on a service worker, never the epoll loop.
-  /// A mutation that fails after admission refunds its rate token and
-  /// bytes exactly once (it caused no index work).
+  /// ADD_POLYGONS / REMOVE_POLYGONS / DROP_DATASET: routed through
+  /// TryMutateAsync so the clone-on-write apply runs on a service worker,
+  /// never the epoll loop.
   void HandleMutation(int t, IoThread& io, Connection& conn,
                       const FrameHeader& header,
                       std::span<const uint8_t> payload);
-  /// JOIN_DATASETS (v5): admission + drain discipline of HandleJoinBatch,
-  /// routed through DatasetCrossMatcher::TryCrossMatchAsync. The
-  /// completion hook encodes the result as a stream of PAIR_RESULT chunks
-  /// and posts them, in order, to the connection's owner thread (the
-  /// per-thread inbox preserves delivery order, so chunks cannot
-  /// interleave or reorder). Typed rejects name the offending side.
+  /// JOIN_DATASETS (v5): routed through DatasetCrossMatcher::
+  /// TryCrossMatchAsync. The completion hook encodes the result as a
+  /// stream of PAIR_RESULT chunks and posts them, in order, to the
+  /// connection's owner thread (the per-thread inbox preserves delivery
+  /// order, so chunks cannot interleave or reorder). Typed rejects name
+  /// the offending side.
   void HandleJoinDatasets(int t, IoThread& io, Connection& conn,
                           const FrameHeader& header,
                           std::span<const uint8_t> payload);
   /// SUBSCRIBE (v6): registers a standing geofence query with the
-  /// subscription matcher, entirely on the event loop (no service work).
-  /// The admission bytes stay charged for the subscription's lifetime — a
-  /// standing query holds resources, so it holds its admission too.
+  /// subscription matcher, entirely on the event loop (no service work,
+  /// so no StartWork/Settle). The admission bytes stay charged for the
+  /// subscription's lifetime.
   void HandleSubscribe(int t, IoThread& io, Connection& conn,
                        const FrameHeader& header,
                        std::span<const uint8_t> payload);
@@ -197,6 +227,10 @@ class JoinServer {
   /// Writes queued bytes; arms/disarms EPOLLOUT as needed. False when the
   /// connection died mid-write.
   bool FlushWrites(IoThread& io, Connection& conn);
+  /// One send() of the front frame's unwritten bytes; a frame that has
+  /// fully left the outbox is popped and accounted (responses sent, event
+  /// depth, delivery lag). Returns send()'s result.
+  ssize_t SendFront(Connection& conn);
   void CloseConnection(IoThread& io, uint64_t conn_id);
   /// Loop-exit path: gives a slow reader a short, bounded chance (blocking
   /// send with a timeout) to take responses still queued on a connection,
@@ -237,11 +271,12 @@ class JoinServer {
   std::atomic<uint64_t> next_conn_id_{1};
   std::atomic<uint32_t> next_thread_{0};
 
-  /// Joins admitted but whose completion hook has not finished delivering.
+  /// Requests past StartWork whose Settle has not run yet (joins,
+  /// crossmatches and mutations alike).
   /// Stop() waits for this to hit zero before tearing down the threads the
   /// hooks deliver into — so the service must be draining (running or
   /// Shutdown(), which drains synchronously) when Stop() is called.
-  uint64_t inflight_joins_ = 0;  // guarded by inflight_mu_
+  uint64_t inflight_requests_ = 0;  // guarded by inflight_mu_
   mutable std::mutex inflight_mu_;
   std::condition_variable inflight_cv_;
 
@@ -252,9 +287,10 @@ class JoinServer {
   /// Net-level kShuttingDown rejections (server stopping; the service's
   /// own counter only sees submits that reached its closed queue).
   std::atomic<uint64_t> rejected_stopping_{0};
-  /// JOIN_BATCH frames naming a dataset id the catalog never assigned
-  /// (rejected at the event loop, before admission — the service never
-  /// sees them).
+  /// Admitted-opcode frames naming a dataset the catalog cannot serve,
+  /// rejected at the event loop — the service never sees them (the
+  /// header's id at the door, before admission; JOIN_DATASETS's b-side
+  /// after decode).
   std::atomic<uint64_t> rejected_unknown_dataset_{0};
 
   std::atomic<uint64_t> connections_accepted_{0};

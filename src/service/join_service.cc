@@ -263,6 +263,10 @@ SubmitStatus JoinService::Enqueue(std::unique_ptr<Request> req) {
     stats_.RecordRejectedUnknownDataset();
     return SubmitStatus::kUnknownDataset;
   }
+  return TryPush(std::move(req));
+}
+
+SubmitStatus JoinService::TryPush(std::unique_ptr<Request> req) {
   if (queue_.TryPush(req)) return SubmitStatus::kAccepted;
   // TryPush refuses for exactly two reasons; closed() distinguishes them.
   if (queue_.closed()) {
@@ -475,13 +479,7 @@ SubmitStatus JoinService::TryMutateAsync(uint16_t dataset_id,
   auto req = std::make_unique<Request>();
   req->batch.dataset_id = dataset_id;
   req->work = std::move(work);
-  if (queue_.TryPush(req)) return SubmitStatus::kAccepted;
-  if (queue_.closed()) {
-    stats_.RecordRejectedShutdown();
-    return SubmitStatus::kShutDown;
-  }
-  stats_.RecordRejectedQueueFull();
-  return SubmitStatus::kQueueFull;
+  return TryPush(std::move(req));
 }
 
 SubmitStatus JoinService::TryRunAsync(std::function<void()> work) {
@@ -490,13 +488,7 @@ SubmitStatus JoinService::TryRunAsync(std::function<void()> work) {
   // still count so backpressure stays visible in ServiceStats.
   auto req = std::make_unique<Request>();
   req->work = std::move(work);
-  if (queue_.TryPush(req)) return SubmitStatus::kAccepted;
-  if (queue_.closed()) {
-    stats_.RecordRejectedShutdown();
-    return SubmitStatus::kShutDown;
-  }
-  stats_.RecordRejectedQueueFull();
-  return SubmitStatus::kQueueFull;
+  return TryPush(std::move(req));
 }
 
 void JoinService::ChargeDatasetServed(uint16_t dataset_id, uint64_t points) {

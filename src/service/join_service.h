@@ -397,7 +397,12 @@ class JoinService {
 
   void WorkerLoop(int worker_id);
   void Execute(Request& req, int worker_id);
+  /// TrySubmit / TrySubmitAsync: the catalog door, then TryPush.
   SubmitStatus Enqueue(std::unique_ptr<Request> req);
+  /// The one queue-push tail of every non-blocking submit: kAccepted, or
+  /// the typed refusal (closed queue => kShutDown, else kQueueFull),
+  /// counted in the stats.
+  SubmitStatus TryPush(std::unique_ptr<Request> req);
   /// The dataset's counter slot, growing the vector on first touch (ids
   /// are catalog-assigned, hence dense and < 2^16).
   DatasetCounters& CountersFor(uint16_t dataset_id);

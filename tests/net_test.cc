@@ -15,6 +15,7 @@
 // only from the workload factories with explicit literal seeds.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include "act/join.h"
 #include "geo/grid.h"
@@ -73,6 +75,46 @@ void ExpectStatsEqual(const act::JoinStats& got, const act::JoinStats& want) {
 }
 
 // --- Wire codec ------------------------------------------------------------
+
+/// Reads one frame from a raw blocking socket (accumulating buffer +
+/// TryParseFrame, the same discipline every real reader uses).
+bool ReadFrame(int fd, std::vector<uint8_t>* buf, FrameHeader* header,
+               std::vector<uint8_t>* payload) {
+  while (true) {
+    size_t frame_bytes = 0;
+    WireError err = WireError::kNone;
+    FrameParse parse =
+        TryParseFrame(*buf, kDefaultMaxFrameBytes, header, &frame_bytes, &err);
+    if (parse == FrameParse::kProtocolError) return false;
+    if (parse == FrameParse::kFrame) {
+      payload->assign(buf->begin() + kFrameHeaderBytes,
+                      buf->begin() + static_cast<ptrdiff_t>(frame_bytes));
+      buf->erase(buf->begin(),
+                 buf->begin() + static_cast<ptrdiff_t>(frame_bytes));
+      return true;
+    }
+    uint8_t chunk[4096];
+    ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n <= 0) return false;
+    buf->insert(buf->end(), chunk, chunk + n);
+  }
+}
+
+/// Reads one frame and returns its error code (kNone for any other type).
+WireError ReadErrorCode(int fd, std::vector<uint8_t>* buf,
+                        uint64_t* request_id = nullptr) {
+  FrameHeader header;
+  std::vector<uint8_t> payload;
+  if (!ReadFrame(fd, buf, &header, &payload)) return WireError::kNone;
+  if (request_id != nullptr) *request_id = header.request_id;
+  WireError code = WireError::kNone;
+  std::string message;
+  if (header.type != MessageType::kError ||
+      !DecodeError(payload, &code, &message)) {
+    return WireError::kNone;
+  }
+  return code;
+}
 
 TEST(NetWire, EmptyFrameRoundTrip) {
   std::vector<uint8_t> frame = EncodeEmptyFrame(MessageType::kPing, 77);
@@ -1363,6 +1405,106 @@ TEST(NetServer, StopWhileIdleAndDoubleStop) {
   EXPECT_FALSE(ts.server->Start(&error));  // not restartable
 }
 
+TEST(NetServer, StopDrainsEveryAdmittedRequestKind) {
+  // Stop() waits out every request past the drain check, whatever its
+  // kind: a join, a crossmatch and a mutation sit admitted in a held-back
+  // service queue while Stop() runs; frames arriving meanwhile bounce
+  // kShuttingDown; once the service starts, all three get their real
+  // replies and Stop() returns with no admission bytes left charged.
+  ServiceOptions sopts;
+  sopts.worker_threads = 1;
+  sopts.autostart = false;  // held back => the three stay queued
+  TestServer ts = TestServer::Make(sopts, ServerOptions{});
+
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.05);
+  wl::PointSet pts = wl::TaxiPoints(ds.mbr, 200, grid, 61);
+
+  std::string error;
+  UniqueFd raw = ConnectTcp(ts.server->host(), ts.server->port(), &error);
+  ASSERT_TRUE(raw.valid()) << error;
+  auto send = [&](const std::vector<uint8_t>& frame) {
+    return SendAll(raw.get(), frame.data(), frame.size(), &error);
+  };
+  JoinDatasetsRequest xmatch;
+  xmatch.dataset_b = 0;
+  ASSERT_TRUE(send(EncodeJoinBatchFrame(1, MakeBatch(pts, JoinMode::kExact))));
+  ASSERT_TRUE(send(EncodeJoinDatasetsFrame(2, 0, xmatch)));
+  ASSERT_TRUE(send(EncodeAddPolygonsFrame(3, 0, {ds.polygons[0]})));
+  // Frames on one connection dispatch in order: the PONG proves all
+  // three were admitted and queued.
+  ASSERT_TRUE(send(EncodeEmptyFrame(MessageType::kPing, 4)));
+  std::vector<uint8_t> inbuf;
+  FrameHeader header;
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(ReadFrame(raw.get(), &inbuf, &header, &payload));
+  ASSERT_EQ(header.type, MessageType::kPong);
+  ASSERT_EQ(ts.service->QueueDepth(), 3u);
+
+  std::thread stopper([&] { ts.server->Stop(); });
+  // A join naming an unknown dataset answers kUnknownDataset until Stop()
+  // raises its flag and kShuttingDown after (the stopping check comes
+  // first): poll with it until the drain has begun.
+  QueryBatch unknown = MakeBatch(pts, JoinMode::kExact);
+  unknown.dataset_id = 999;
+  WireError probe = WireError::kNone;
+  for (int i = 0; i < 10000 && probe != WireError::kShuttingDown; ++i) {
+    ASSERT_TRUE(send(EncodeJoinBatchFrame(5, unknown)));
+    probe = ReadErrorCode(raw.get(), &inbuf);
+    ASSERT_TRUE(probe == WireError::kUnknownDataset ||
+                probe == WireError::kShuttingDown)
+        << ToString(probe);
+    if (probe != WireError::kShuttingDown) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_EQ(probe, WireError::kShuttingDown);
+  // The late frame: a valid join, refused because the server is stopping.
+  ASSERT_TRUE(send(EncodeJoinBatchFrame(6, MakeBatch(pts, JoinMode::kExact))));
+  uint64_t late_id = 0;
+  EXPECT_EQ(ReadErrorCode(raw.get(), &inbuf, &late_id),
+            WireError::kShuttingDown);
+  EXPECT_EQ(late_id, 6u);
+
+  ts.service->Start();
+  bool joined = false, matched = false, mutated = false;
+  while (!(joined && matched && mutated)) {
+    ASSERT_TRUE(ReadFrame(raw.get(), &inbuf, &header, &payload))
+        << "connection closed before every admitted request was answered";
+    switch (header.type) {
+      case MessageType::kJoinResult: {
+        EXPECT_EQ(header.request_id, 1u);
+        service::JoinResult result;
+        ASSERT_TRUE(DecodeJoinResult(payload, &result));
+        EXPECT_EQ(result.stats.num_points, pts.size());
+        joined = true;
+        break;
+      }
+      case MessageType::kPairResult: {
+        EXPECT_EQ(header.request_id, 2u);
+        PairChunk chunk;
+        ASSERT_TRUE(DecodePairChunk(payload, &chunk));
+        EXPECT_GT(chunk.total_pairs, 0u);
+        matched = chunk.last;
+        break;
+      }
+      case MessageType::kMutateResult: {
+        EXPECT_EQ(header.request_id, 3u);
+        MutationAck ack;
+        ASSERT_TRUE(DecodeMutationAck(payload, &ack));
+        EXPECT_EQ(ack.op, MessageType::kAddPolygons);
+        mutated = true;
+        break;
+      }
+      default:
+        FAIL() << "unexpected frame type " << static_cast<int>(header.type);
+    }
+  }
+  stopper.join();
+  EXPECT_EQ(ts.server->admission_counters().bytes_in_flight, 0u);
+  EXPECT_EQ(ts.server->admission_counters().refunded, 0u);
+}
+
 // --- Observability over the wire (v4) --------------------------------------
 
 TEST(NetServer, TracedJoinStagesTileLoopbackWallTime) {
@@ -1839,18 +1981,20 @@ TEST(DeltaNet, LiveMutationOverLoopbackMatchesFreshBuild) {
 }
 
 TEST(DeltaNet, FailedMutationsRefundAdmissionExactlyOnce) {
-  // The v3 refund regression (the join-path sibling is
-  // QueueFullBurstDoesNotDrainRateBucket): a mutation frame that fails
+  // The refund rule, pinned for every admitted opcode (the queue-full
+  // sibling is QueueFullBurstDoesNotDrainRateBucket): a frame that fails
   // after TryAdmit — undecodable payload or the service's typed content
-  // rejection — did no index work, so both the rate token and the bytes
-  // come back. Without the refund, the garbage burst below would drain a
-  // 2-token bucket and the later *valid* mutation would bounce
-  // kRateLimited.
+  // rejection — did no work, so both the rate token and the bytes come
+  // back. Without the refund, a garbage burst would drain a 2-token bucket
+  // and later frames would bounce kRateLimited.
   ServiceOptions sopts;
   sopts.worker_threads = 1;
   ServerOptions nopts;
   nopts.admission.rate_limit_qps = 1e-6;  // refill negligible in-test
   nopts.admission.rate_burst = 2;
+  // One bucket per connection, so each opcode's row below is judged on a
+  // bucket of its own.
+  nopts.peer_key = PeerKeyPolicy::kIpPort;
   TestServer ts = TestServer::Make(sopts, nopts);
 
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
@@ -1861,6 +2005,7 @@ TEST(DeltaNet, FailedMutationsRefundAdmissionExactlyOnce) {
   std::string error;
   UniqueFd raw = ConnectTcp(ts.server->host(), ts.server->port(), &error);
   ASSERT_TRUE(raw.valid()) << error;
+  std::vector<uint8_t> inbuf;
   for (int i = 0; i < 5; ++i) {
     std::vector<uint8_t> frame = EncodeAddPolygonsFrame(
         100 + static_cast<uint64_t>(i), 0, {});
@@ -1869,27 +2014,53 @@ TEST(DeltaNet, FailedMutationsRefundAdmissionExactlyOnce) {
     frame[16] = 4;  // payload_bytes: 4 of the blob's 8-byte count
     frame.resize(kFrameHeaderBytes + 4);
     ASSERT_TRUE(SendAll(raw.get(), frame.data(), frame.size(), &error));
-    uint8_t header_bytes[kFrameHeaderBytes];
-    ASSERT_TRUE(RecvAll(raw.get(), header_bytes, sizeof(header_bytes),
-                        &error))
-        << error;
-    FrameHeader header;
-    size_t frame_bytes = 0;
-    WireError parse_err = WireError::kNone;
-    // Header-only span: kNeedMoreData, but *header is already filled.
-    ASSERT_NE(TryParseFrame({header_bytes, sizeof(header_bytes)},
-                            kDefaultMaxFrameBytes, &header, &frame_bytes,
-                            &parse_err),
-              FrameParse::kProtocolError);
-    ASSERT_EQ(header.type, MessageType::kError);
-    std::vector<uint8_t> payload(header.payload_bytes);
-    ASSERT_TRUE(RecvAll(raw.get(), payload.data(), payload.size(), &error));
-    WireError code = WireError::kNone;
-    std::string message;
-    ASSERT_TRUE(DecodeError(payload, &code, &message));
-    EXPECT_EQ(code, WireError::kMalformedPayload) << "bounce " << i;
+    EXPECT_EQ(ReadErrorCode(raw.get(), &inbuf), WireError::kMalformedPayload)
+        << "bounce " << i;
   }
   EXPECT_EQ(ts.server->admission_counters().refunded, 5u);
+  EXPECT_EQ(ts.server->admission_counters().rate_limited, 0u);
+
+  // The same rule for the other admitted opcodes: 3 undecodable frames of
+  // each (> burst 2), all answered kMalformedPayload, never kRateLimited.
+  const std::vector<uint8_t> garbage = {0xff, 0xff, 0xff};
+  struct Row {
+    MessageType type;
+    bool (*undecodable)(std::span<const uint8_t>);
+  };
+  const Row rows[] = {
+      {MessageType::kJoinBatch,
+       [](std::span<const uint8_t> p) {
+         service::QueryBatch b;
+         return !DecodeQueryBatch(p, &b);
+       }},
+      {MessageType::kJoinDatasets,
+       [](std::span<const uint8_t> p) {
+         JoinDatasetsRequest r;
+         return !DecodeJoinDatasets(p, &r);
+       }},
+      {MessageType::kSubscribe,
+       [](std::span<const uint8_t> p) {
+         service::SubscriptionSpec spec;
+         return !DecodeSubscribe(p, &spec);
+       }},
+  };
+  uint64_t want_refunded = 5;
+  for (const Row& row : rows) {
+    const int type = static_cast<int>(row.type);
+    ASSERT_TRUE(row.undecodable(garbage)) << "type " << type;
+    UniqueFd fd = ConnectTcp(ts.server->host(), ts.server->port(), &error);
+    ASSERT_TRUE(fd.valid()) << error;
+    std::vector<uint8_t> buf;
+    for (int i = 0; i < 3; ++i) {
+      std::vector<uint8_t> frame = EncodeFrame(row.type, 200, garbage);
+      ASSERT_TRUE(SendAll(fd.get(), frame.data(), frame.size(), &error));
+      EXPECT_EQ(ReadErrorCode(fd.get(), &buf), WireError::kMalformedPayload)
+          << "type " << type << " bounce " << i;
+    }
+    want_refunded += 3;
+    EXPECT_EQ(ts.server->admission_counters().refunded, want_refunded)
+        << "type " << type;
+  }
   EXPECT_EQ(ts.server->admission_counters().rate_limited, 0u);
 
   // Typed service rejections refund too: 3 empty adds decode fine, reach
@@ -1902,13 +2073,14 @@ TEST(DeltaNet, FailedMutationsRefundAdmissionExactlyOnce) {
     EXPECT_FALSE(reply.ok);
     EXPECT_EQ(reply.error, WireError::kInvalidMutation) << "bounce " << i;
   }
-  EXPECT_EQ(ts.server->admission_counters().refunded, 8u);
+  want_refunded += 3;
+  EXPECT_EQ(ts.server->admission_counters().refunded, want_refunded);
   EXPECT_EQ(ts.server->admission_counters().rate_limited, 0u);
 
   // The bucket still holds its full burst: a real mutation lands.
   JoinClient::Reply ok = client.AddPolygons(0, {ds.polygons[0]});
   ASSERT_TRUE(ok.ok) << "token was not refunded: " << ok.message;
-  EXPECT_EQ(ts.server->admission_counters().refunded, 8u);
+  EXPECT_EQ(ts.server->admission_counters().refunded, want_refunded);
   service::ServiceStats stats;
   ASSERT_TRUE(client.GetStats(&stats, &error)) << error;
   EXPECT_EQ(stats.mutations_applied, 1u);
