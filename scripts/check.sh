@@ -5,6 +5,7 @@
 #   scripts/check.sh asan         # the same under AddressSanitizer
 #   scripts/check.sh ubsan        # the same under UBSan
 #   scripts/check.sh tsan         # serving-layer suite under ThreadSanitizer
+#   scripts/check.sh ledger       # build bench/ledger + run its smoke test
 #   scripts/check.sh all          # release, then asan, then ubsan, then tsan
 #
 # Any extra arguments are forwarded to ctest, e.g.:
@@ -43,6 +44,18 @@ case "${mode}" in
     # (ctest honors the last -R).
     run_preset tsan "$@" -R "${TSAN_FILTER}"
     ;;
+  ledger)
+    # The benchmark builds the src/ libraries on its own, so a src/ API
+    # change that breaks it fails here (CI's release job calls this mode,
+    # so these are the one copy of the commands).
+    echo "==> ledger: configure"
+    cmake -S bench/ledger -B .bench_build/ledger -DCMAKE_BUILD_TYPE=Release
+    echo "==> ledger: build"
+    cmake --build .bench_build/ledger -j "$(nproc)"
+    echo "==> ledger: ctest"
+    ctest --test-dir .bench_build/ledger "$@"
+    echo "==> ledger: OK"
+    ;;
   all)
     run_preset release "$@"
     run_preset asan "$@"
@@ -50,7 +63,7 @@ case "${mode}" in
     run_preset tsan "$@" -R "${TSAN_FILTER}"
     ;;
   *)
-    echo "usage: $0 [release|debug|asan|ubsan|tsan|all] [ctest args...]" >&2
+    echo "usage: $0 [release|debug|asan|ubsan|tsan|ledger|all] [ctest args...]" >&2
     exit 2
     ;;
 esac

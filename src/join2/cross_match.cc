@@ -8,6 +8,7 @@
 #include "geometry/poly_poly.h"
 #include "util/check.h"
 #include "util/parallel_for.h"
+#include "util/stage_trace.h"
 #include "util/timer.h"
 
 namespace actjoin::join2 {
@@ -359,9 +360,10 @@ TaskResult Descend(const IntervalView& va, const IntervalView& vb,
 std::vector<std::pair<uint32_t, uint32_t>> CrossMatch(
     const IntervalView& a, const IntervalView& b,
     const CrossMatchOptions& opts, util::WorkStealingPool* pool,
-    CrossMatchStats* stats, CrossMatchPhaseTimes* phases) {
+    CrossMatchStats* stats, CrossMatchPhaseTimes* phases,
+    const util::StagePerfCounters* stage_perf) {
   util::WallTimer timer;
-  util::WallTimer phase_timer;
+  util::StageLap lap(phases != nullptr ? stage_perf : nullptr);
   CrossMatchStats local;
   std::vector<std::pair<uint32_t, uint32_t>> out;
   if (a.size() != 0 && b.size() != 0) {
@@ -421,9 +423,10 @@ std::vector<std::pair<uint32_t, uint32_t>> CrossMatch(
     local.candidate_pairs = candidates.size();
     // Descend = expansion + parallel descent + dedup (phases 1-3): the
     // filter half of the join; refinement below is the predicate half.
+    const util::StageSplit descend = lap.Lap();
     if (phases != nullptr) {
-      phases->descend_us = phase_timer.ElapsedSeconds() * 1e6;
-      phase_timer.Restart();
+      phases->descend_us = descend.us;
+      phases->descend_counters = descend.counters;
     }
 
     // Phase 4 (parallel): refine candidates in fixed chunks; chunk outputs
@@ -473,7 +476,12 @@ std::vector<std::pair<uint32_t, uint32_t>> CrossMatch(
   }
   local.result_pairs = out.size();
   local.seconds = timer.ElapsedSeconds();
-  if (phases != nullptr) phases->refine_us = phase_timer.ElapsedSeconds() * 1e6;
+  const util::StageSplit refine = lap.Lap();
+  if (phases != nullptr) {
+    phases->refine_us = refine.us;
+    phases->refine_counters = refine.counters;
+    phases->counters_valid = lap.counting();
+  }
   if (stats != nullptr) *stats = local;
   return out;
 }
@@ -481,12 +489,17 @@ std::vector<std::pair<uint32_t, uint32_t>> CrossMatch(
 std::vector<std::pair<uint32_t, uint32_t>> CrossMatchIndexes(
     const service::ShardedIndex& a, const service::ShardedIndex& b,
     const CrossMatchOptions& opts, util::WorkStealingPool* pool,
-    CrossMatchStats* stats, CrossMatchPhaseTimes* phases) {
-  util::WallTimer pin_timer;
+    CrossMatchStats* stats, CrossMatchPhaseTimes* phases,
+    const util::StagePerfCounters* stage_perf) {
+  util::StageLap lap(phases != nullptr ? stage_perf : nullptr);
   IntervalView view_a = IntervalView::FromIndex(a);
   IntervalView view_b = IntervalView::FromIndex(b);
-  if (phases != nullptr) phases->pin_us = pin_timer.ElapsedSeconds() * 1e6;
-  return CrossMatch(view_a, view_b, opts, pool, stats, phases);
+  const util::StageSplit pin = lap.Lap();
+  if (phases != nullptr) {
+    phases->pin_us = pin.us;
+    phases->pin_counters = pin.counters;
+  }
+  return CrossMatch(view_a, view_b, opts, pool, stats, phases, stage_perf);
 }
 
 std::vector<std::pair<uint32_t, uint32_t>> BruteForceCrossMatch(

@@ -59,6 +59,7 @@
 #include "geometry/edge_grid.h"
 #include "geometry/polygon.h"
 #include "service/sharded_index.h"
+#include "util/perf_counters.h"
 #include "util/work_stealing_pool.h"
 
 namespace actjoin::join2 {
@@ -178,6 +179,13 @@ struct CrossMatchPhaseTimes {
   double pin_us = 0;
   double descend_us = 0;
   double refine_us = 0;
+  /// Hardware-counter deltas per phase from the `stage_perf` group (valid
+  /// only when `counters_valid`); like ShardedIndex::JoinPhaseTimes, they
+  /// count the calling thread only.
+  bool counters_valid = false;
+  util::StageCounterSample pin_counters;
+  util::StageCounterSample descend_counters;
+  util::StageCounterSample refine_counters;
 };
 
 /// Runs the synchronized descent of `a` against `b` and refines the
@@ -187,18 +195,22 @@ struct CrossMatchPhaseTimes {
 /// see the header comment. A non-null `pool` with workers supplies the
 /// parallelism (the caller helps); otherwise opts.threads drives a
 /// transient pool. A non-null `phases` receives the per-phase wall
-/// breakdown (two extra WallTimer reads — free).
+/// breakdown (two util::StageLap laps — free); a non-null `stage_perf`
+/// (an available group opened by the calling thread) additionally fills
+/// the phase counter deltas, one group read() per phase boundary.
 std::vector<std::pair<uint32_t, uint32_t>> CrossMatch(
     const IntervalView& a, const IntervalView& b,
     const CrossMatchOptions& opts, util::WorkStealingPool* pool = nullptr,
-    CrossMatchStats* stats = nullptr, CrossMatchPhaseTimes* phases = nullptr);
+    CrossMatchStats* stats = nullptr, CrossMatchPhaseTimes* phases = nullptr,
+    const util::StagePerfCounters* stage_perf = nullptr);
 
 /// Convenience: builds both views, then runs CrossMatch. The view builds
 /// are the pin phase of `phases`.
 std::vector<std::pair<uint32_t, uint32_t>> CrossMatchIndexes(
     const service::ShardedIndex& a, const service::ShardedIndex& b,
     const CrossMatchOptions& opts, util::WorkStealingPool* pool = nullptr,
-    CrossMatchStats* stats = nullptr, CrossMatchPhaseTimes* phases = nullptr);
+    CrossMatchStats* stats = nullptr, CrossMatchPhaseTimes* phases = nullptr,
+    const util::StagePerfCounters* stage_perf = nullptr);
 
 /// Index-free oracle: tests every polygon pair (MBR-pruned) with the same
 /// predicates. `skip_a` / `skip_b` name global ids to exclude (removed

@@ -89,24 +89,29 @@ CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
   opts.mode = req.mode;
   opts.threads = service_->options().threads_per_join;
   CrossMatchPhaseTimes phases;
-  out.pairs = CrossMatchIndexes(*snap_a, *snap_b, opts,
-                                service_->shared_pool(), &out.stats,
-                                req.trace ? &phases : nullptr);
+  out.pairs = CrossMatchIndexes(
+      *snap_a, *snap_b, opts, service_->shared_pool(), &out.stats,
+      req.trace ? &phases : nullptr, service_->StageCounters());
   out.service_us = timer.ElapsedSeconds() * 1e6;
 
   if (req.trace) {
-    out.trace.enabled = true;
-    out.trace.request_id = req.request_id;
-    out.trace.at(CrossMatchStage::kQueue) = out.queue_wait_us;
-    out.trace.at(CrossMatchStage::kPin) = phases.pin_us;
-    out.trace.at(CrossMatchStage::kDescend) = phases.descend_us;
+    util::StageTrace& trace = out.trace;
+    trace.enabled = true;
+    trace.request_id = req.request_id;
+    trace.counters_enabled = service_->options().stage_perf_counters;
+    trace.counters_available = phases.counters_valid;
+    trace.at(CrossMatchStage::kQueue) = out.queue_wait_us;
+    trace.Charge(CrossMatchStage::kPin, {phases.pin_us, phases.pin_counters});
+    trace.Charge(CrossMatchStage::kDescend,
+                 {phases.descend_us, phases.descend_counters});
     // Refine absorbs the service-wall leftover (validation, snapshot
     // acquire, result move) so the worker-side stages tile service_us —
     // the same discipline as JOIN_BATCH's merge stage.
     const double leftover =
         out.service_us - phases.pin_us - phases.descend_us - phases.refine_us;
-    out.trace.at(CrossMatchStage::kRefine) =
-        phases.refine_us + (leftover > 0 ? leftover : 0);
+    trace.Charge(CrossMatchStage::kRefine,
+                 {phases.refine_us + (leftover > 0 ? leftover : 0),
+                  phases.refine_counters});
   }
 
   // Both sides served one request each; the work unit is the polygon set

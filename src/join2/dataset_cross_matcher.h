@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "join2/cross_match.h"
-#include "join2/cross_match_trace.h"
+#include "join2/cross_match_stage.h"
 #include "service/join_service.h"
 #include "util/metrics.h"
 
@@ -42,7 +42,8 @@ struct CrossMatchRequest {
   uint64_t request_id = 0;
   /// Request a per-stage trace: CrossMatchOutcome::trace comes back
   /// enabled with the pin/descend/refine breakdown (queue filled from the
-  /// submit hop; admission/decode/stream are the network front-end's).
+  /// submit hop; admission/decode/stream are the network front-end's),
+  /// counters included under ServiceOptions::stage_perf_counters.
   bool trace = false;
 };
 
@@ -73,7 +74,7 @@ struct CrossMatchOutcome {
   /// fills queue/pin/descend/refine (refine absorbs the service-wall
   /// leftover so the worker-side stages tile service_us); the network
   /// front-end fills admission/decode/stream around them.
-  CrossMatchTrace trace;
+  util::StageTrace trace;
 };
 
 class DatasetCrossMatcher {

@@ -77,9 +77,10 @@ struct CrossMatchReply {
   PairChunkStats stats;
   /// How many PAIR_RESULT chunks carried the stream (>= 1 on ok).
   uint32_t num_chunks = 0;
-  /// Stage breakdown from the final chunk (v7); enabled only when the
-  /// request asked for a trace.
-  join2::CrossMatchTrace trace;
+  /// Stage breakdown from the final chunk (v7), indexed by
+  /// join2::CrossMatchStage; enabled only when the request asked for a
+  /// trace, counters included when the server runs stage_perf_counters.
+  util::StageTrace trace;
 };
 
 class AsyncJoinClient {

@@ -16,9 +16,10 @@
 #include <unordered_map>
 #include <utility>
 
+#include "join2/cross_match_stage.h"
 #include "service/trace.h"
 #include "util/check.h"
-#include "util/timer.h"
+#include "util/stage_trace.h"
 
 namespace actjoin::net {
 
@@ -41,19 +42,18 @@ constexpr size_t kCompactThreshold = 64 * 1024;
 // roughly max_frame_bytes (one partial frame) + this.
 constexpr size_t kMaxReadBytesPerEvent = 256 * 1024;
 
-// Per-IO-thread hardware-counter group for the stages the event loop owns
-// (admission, decode). perf counts the opening thread, so the group is
-// opened lazily on first use by each IO thread — never on a worker.
-// Returns null when opening failed (counters stay all-zero but the trace
-// section still frames; the worker-side `available` flag tells clients).
-util::StagePerfCounters* IoThreadStageCounters(bool simulate_denied) {
-  thread_local std::unique_ptr<util::StagePerfCounters> group;
-  if (group == nullptr) {
-    util::StagePerfCounters::Options o;
-    o.simulate_denied = simulate_denied;
-    group = std::make_unique<util::StagePerfCounters>(o);
-  }
-  return group->available() ? group.get() : nullptr;
+// Both request kinds lap their front-end stages by one rule: admission
+// covers frame entry through the admission verdict, decode everything
+// after it up to the submit call — so they tile frame entry -> submit.
+// The trace flag proper is decoded later, but it sits at a fixed payload
+// offset (bit 0 of the request's flags byte), peeked here so only traced
+// requests pay the event loop's counter reads.
+util::StageLap FrontEndLap(const service::JoinService& service,
+                           std::span<const uint8_t> payload,
+                           size_t trace_flag_offset) {
+  const bool traced = payload.size() > trace_flag_offset &&
+                      (payload[trace_flag_offset] & 1) != 0;
+  return util::StageLap(traced ? service.StageCounters() : nullptr);
 }
 
 WireError ToWireError(Admission verdict) {
@@ -813,31 +813,10 @@ void JoinServer::Settle(int t, uint64_t conn_id, size_t bytes,
 void JoinServer::HandleJoinBatch(int t, IoThread& io, Connection& conn,
                                  const FrameHeader& header,
                                  std::span<const uint8_t> payload) {
-  // Started unconditionally (one clock read; the trace flag is not known
-  // until the payload is decoded). kAdmission covers entry through the
-  // admission verdict; kDecode covers the payload decode.
-  util::WallTimer stage_timer;
-  // Hardware-counter attribution for the event-loop stages. The trace
-  // flag proper is decoded later, but it sits at a fixed payload offset
-  // (QueryBatch flags byte, bit 0) — peeked here so only traced requests
-  // pay the counter reads.
-  util::StagePerfCounters* io_perf = nullptr;
-  util::StageCounterSample perf_entry{};
-  if (service_->options().stage_perf_counters && payload.size() >= 2 &&
-      (payload[1] & 1) != 0) {
-    io_perf = IoThreadStageCounters(
-        service_->options().stage_perf_simulate_denied);
-    if (io_perf != nullptr) perf_entry = io_perf->Read();
-  }
+  util::StageLap lap = FrontEndLap(*service_, payload, /*flags byte=*/1);
   const size_t bytes = payload.size();
   if (!Admit(io, conn, header, bytes)) return;
-  const double admission_us = stage_timer.ElapsedSeconds() * 1e6;
-  util::StageCounterSample admission_counters{};
-  util::StageCounterSample perf_admitted{};
-  if (io_perf != nullptr) {
-    perf_admitted = io_perf->Read();
-    admission_counters = perf_admitted - perf_entry;
-  }
+  const util::StageSplit admission = lap.Lap();
 
   service::QueryBatch batch;
   if (!DecodeQueryBatch(payload, &batch)) {
@@ -845,70 +824,43 @@ void JoinServer::HandleJoinBatch(int t, IoThread& io, Connection& conn,
                    WireError::kMalformedPayload);
     return;
   }
-  const double decode_us = stage_timer.ElapsedSeconds() * 1e6 - admission_us;
-  util::StageCounterSample decode_counters{};
-  if (io_perf != nullptr) {
-    decode_counters = io_perf->Read() - perf_admitted;
-  }
-
   if (!StartWork(io, conn, header.request_id, bytes)) return;
   const uint64_t request_id = header.request_id;
   batch.dataset_id = header.dataset_id;
   // The wire request id doubles as the trace id so a slow-query entry or
   // inline stage breakdown is joinable back to the client's own request.
   batch.trace_id = header.request_id;
+  const util::StageSplit decode = lap.Lap();
   service::SubmitStatus status = service_->TrySubmitAsync(
       std::move(batch),
       // Runs on the service worker that executed the join.
-      [this, t, conn_id = conn.id, request_id, bytes, admission_us,
-       decode_us, admission_counters,
-       decode_counters](service::JoinResult result) {
-        if (result.trace.enabled) {
+      [this, t, conn_id = conn.id, request_id, bytes, admission,
+       decode](service::JoinResult result) {
+        util::StageTrace& trace = result.trace;
+        if (trace.enabled) {
           // The service fills queue/decompose/probe/merge; the server owns
           // the stages on either side of the submit boundary.
-          result.trace.at(service::TraceStage::kAdmission) = admission_us;
-          result.trace.at(service::TraceStage::kDecode) = decode_us;
-          if (result.trace.counters_enabled) {
-            result.trace.counters(service::TraceStage::kAdmission) =
-                admission_counters;
-            result.trace.counters(service::TraceStage::kDecode) =
-                decode_counters;
+          trace.Charge(service::TraceStage::kAdmission, admission);
+          trace.Charge(service::TraceStage::kDecode, decode);
+          if (trace.counters_enabled) {
             service_->RecordStageCounters(service::TraceStage::kAdmission,
-                                          admission_counters);
+                                          admission.counters);
             service_->RecordStageCounters(service::TraceStage::kDecode,
-                                          decode_counters);
+                                          decode.counters);
           }
         }
         // This hook runs on the worker that executed the join, so the
         // worker's own counter group attributes the response encode.
-        util::StagePerfCounters* worker_perf =
-            service_->options().stage_perf_counters
-                ? service::JoinService::CurrentThreadStageCounters()
-                : nullptr;
-        if (worker_perf != nullptr && !worker_perf->available()) {
-          worker_perf = nullptr;
-        }
-        util::StageCounterSample respond_before{};
-        if (worker_perf != nullptr) respond_before = worker_perf->Read();
-        util::WallTimer respond_timer;
-        std::vector<uint8_t> frame =
-            EncodeJoinResultFrame(request_id, result);
-        const double respond_us = respond_timer.ElapsedSeconds() * 1e6;
-        util::StageCounterSample respond_counters{};
-        if (worker_perf != nullptr) {
-          respond_counters = worker_perf->Read() - respond_before;
+        util::StageLap respond_lap(service_->StageCounters());
+        std::vector<uint8_t> frame = EncodeJoinResultFrame(request_id, result);
+        const util::StageSplit respond = respond_lap.Lap();
+        if (respond_lap.counting()) {
           service_->RecordStageCounters(service::TraceStage::kRespond,
-                                        respond_counters);
+                                        respond.counters);
         }
-        if (result.trace.enabled) {
-          // The respond stage times the encode of the very frame that
-          // carries it, so it is patched into the trailer after the fact.
-          if (result.trace.counters_enabled) {
-            PatchRespondStageWithCounters(&frame, respond_us,
-                                          respond_counters);
-          } else {
-            PatchRespondStage(&frame, respond_us);
-          }
+        if (trace.enabled) {
+          PatchLastStage(&frame, respond.us,
+                         trace.counters_enabled ? &respond.counters : nullptr);
         }
         Settle(t, conn_id, bytes, nullptr, std::move(frame));
       });
@@ -942,7 +894,7 @@ std::vector<std::vector<uint8_t>> EncodePairChunks(
     chunk.pairs.assign(outcome.pairs.begin() + static_cast<ptrdiff_t>(lo),
                        outcome.pairs.begin() + static_cast<ptrdiff_t>(hi));
     if (chunk.last) {
-      // The trace tail rides the last chunk (stream slot still zero; the
+      // The trace section rides the last chunk (stream stage still zero; the
       // caller patches it after timing the encode+post of the stream).
       chunk.trace = outcome.trace;
       chunk.stats = {.candidate_pairs = outcome.stats.candidate_pairs,
@@ -964,12 +916,10 @@ std::vector<std::vector<uint8_t>> EncodePairChunks(
 void JoinServer::HandleJoinDatasets(int t, IoThread& io, Connection& conn,
                                     const FrameHeader& header,
                                     std::span<const uint8_t> payload) {
-  // The stage timer serves the v7 trace; untraced requests pay two clock
-  // reads.
-  util::WallTimer stage_timer;
+  util::StageLap lap = FrontEndLap(*service_, payload, /*flags byte=*/3);
   const size_t bytes = payload.size();
   if (!Admit(io, conn, header, bytes)) return;
-  const double admission_us = stage_timer.ElapsedSeconds() * 1e6;
+  const util::StageSplit admission = lap.Lap();
   JoinDatasetsRequest wire_req;
   if (!DecodeJoinDatasets(payload, &wire_req)) {
     RejectAdmitted(io, conn, header.request_id, bytes,
@@ -988,7 +938,6 @@ void JoinServer::HandleJoinDatasets(int t, IoThread& io, Connection& conn,
   }
   if (!StartWork(io, conn, header.request_id, bytes)) return;
 
-  const double decode_us = stage_timer.ElapsedSeconds() * 1e6 - admission_us;
   const uint64_t request_id = header.request_id;
   const uint16_t dataset_a = header.dataset_id;
   join2::CrossMatchRequest req;
@@ -998,6 +947,7 @@ void JoinServer::HandleJoinDatasets(int t, IoThread& io, Connection& conn,
   req.request_id = request_id;
   req.trace = wire_req.trace;
   const uint32_t page_size = wire_req.page_size;
+  const util::StageSplit decode = lap.Lap();
   service::SubmitStatus status = matcher_.TryCrossMatchAsync(
       req,
       // Runs on the service worker that executed the crossmatch. Chunks
@@ -1005,8 +955,8 @@ void JoinServer::HandleJoinDatasets(int t, IoThread& io, Connection& conn,
       // is FIFO, so the stream arrives in order with nothing interleaved
       // between chunks of one response.
       [this, t, conn_id = conn.id, peer = conn.peer, request_id, bytes,
-       dataset_a, page_size, admission_us,
-       decode_us](join2::CrossMatchOutcome outcome) {
+       dataset_a, page_size, admission,
+       decode](join2::CrossMatchOutcome outcome) {
         if (outcome.status != join2::CrossMatchStatus::kOk) {
           WireError code =
               outcome.status == join2::CrossMatchStatus::kDatasetDropped
@@ -1021,26 +971,29 @@ void JoinServer::HandleJoinDatasets(int t, IoThread& io, Connection& conn,
                                         outcome.offending_dataset)));
           return;
         }
-        if (outcome.trace.enabled) {
+        util::StageTrace& trace = outcome.trace;
+        if (trace.enabled) {
           // The matcher filled queue/pin/descend/refine; the front-end
           // owns the stages on either side of the submit boundary.
-          outcome.trace.at(join2::CrossMatchStage::kAdmission) = admission_us;
-          outcome.trace.at(join2::CrossMatchStage::kDecode) = decode_us;
+          trace.Charge(join2::CrossMatchStage::kAdmission, admission);
+          trace.Charge(join2::CrossMatchStage::kDecode, decode);
         }
         // The stream stage times the chunk encode + the posts to the
         // event loop — the cost of shipping the result — and, like the
-        // JOIN_BATCH respond slot, is patched into the frame that carries
+        // JOIN_BATCH respond stage, is patched into the frame that carries
         // it after the fact (all chunks but the last are posted before
-        // the clock is read, so their cost is inside).
-        util::WallTimer stream_timer;
+        // the lap, so their cost is inside).
+        util::StageLap stream_lap(
+            trace.counters_enabled ? service_->StageCounters() : nullptr);
         std::vector<std::vector<uint8_t>> frames =
             EncodePairChunks(request_id, outcome, page_size);
         for (size_t i = 0; i + 1 < frames.size(); ++i) {
           DeliverAsync(t, conn_id, std::move(frames[i]));
         }
-        if (outcome.trace.enabled) {
-          PatchStreamStage(&frames.back(),
-                           stream_timer.ElapsedSeconds() * 1e6);
+        const util::StageSplit stream = stream_lap.Lap();
+        if (trace.enabled) {
+          PatchLastStage(&frames.back(), stream.us,
+                         trace.counters_enabled ? &stream.counters : nullptr);
         }
         Settle(t, conn_id, bytes, nullptr, std::move(frames.back()));
       });

@@ -129,6 +129,55 @@ std::vector<uint8_t> FinishFrame(util::ByteWriter&& w) {
   return std::move(w).Take();
 }
 
+// The trace section every traced response ends with (layout in wire.h's
+// header comment); the counter block follows only under the carrying
+// frame's counters flag.
+constexpr size_t kTraceStageBytes = 8 + 8 * util::kNumStages;
+constexpr size_t kTraceCounterBytes = 8 + 24 * util::kNumStages;
+
+constexpr size_t TraceSectionBytes(bool counters) {
+  return kTraceStageBytes + (counters ? kTraceCounterBytes : 0);
+}
+
+bool CarriesCounters(const util::StageTrace& trace) {
+  return trace.enabled && trace.counters_enabled;
+}
+
+void AppendTraceSection(const util::StageTrace& trace, util::ByteWriter* w) {
+  w->PutU64(trace.request_id);
+  for (double us : trace.stage_us) w->PutF64(us);
+  if (!CarriesCounters(trace)) return;
+  w->PutU8(trace.counters_available ? 1 : 0);
+  for (int i = 0; i < 7; ++i) w->PutU8(0);
+  for (const util::StageCounterSample& c : trace.stage_counters) {
+    w->PutU64(c.cycles);
+    w->PutU64(c.instructions);
+    w->PutU64(c.llc_misses);
+  }
+}
+
+bool ReadTraceSection(util::ByteReader* r, bool counters,
+                      util::StageTrace* out) {
+  *out = util::StageTrace{};
+  out->enabled = true;
+  out->request_id = r->U64();
+  for (double& us : out->stage_us) us = r->F64();
+  if (!counters) return r->ok();
+  const uint8_t available = r->U8();
+  if (available > 1) return false;
+  for (int i = 0; i < 7; ++i) {
+    if (r->U8() != 0) return false;
+  }
+  out->counters_enabled = true;
+  out->counters_available = available == 1;
+  for (util::StageCounterSample& c : out->stage_counters) {
+    c.cycles = r->U64();
+    c.instructions = r->U64();
+    c.llc_misses = r->U64();
+  }
+  return r->ok();
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t request_id,
@@ -183,14 +232,9 @@ bool DecodeQueryBatch(std::span<const uint8_t> payload,
 // JoinResult payload:
 //   u64 epoch, f64 queue_wait_ms, f64 service_ms, then act::JoinStats as
 //   8 u64 counters, f64 seconds, u64 counts_len, u64 counts[], then (v4)
-//   u8 traced + u8 flags + u16 reserved, and — only when traced — u64
-//   trace request id + kNumTraceStages f64 stage times in microseconds
-//   (stage order per service::TraceStage; the respond slot is last,
-//   written 0 by the encoder and patched in place via PatchRespondStage).
-//   flags bit 0 (v7, traced only): a hardware-counter section follows the
-//   stage times — u8 available + u8[7] reserved, then kNumTraceStages ×
-//   (u64 cycles, u64 instructions, u64 llc_misses); the respond triple is
-//   last and patched via PatchRespondStageWithCounters.
+//   u8 traced + u8 flags (bit 0, v7: counter block present, traced only)
+//   + u16 reserved, and — only when traced — the trace section (stage
+//   order per service::TraceStage, the respond stage last).
 void AppendJoinResult(const service::JoinResult& result, util::ByteWriter* w) {
   w->PutU64(result.epoch);
   w->PutF64(result.queue_wait_ms);
@@ -207,23 +251,10 @@ void AppendJoinResult(const service::JoinResult& result, util::ByteWriter* w) {
   w->PutF64(s.seconds);
   w->PutU64(s.counts.size());
   for (uint64_t c : s.counts) w->PutU64(c);
-  const bool counters = result.trace.enabled && result.trace.counters_enabled;
   w->PutU8(result.trace.enabled ? 1 : 0);
-  w->PutU8(counters ? 1 : 0);
+  w->PutU8(CarriesCounters(result.trace) ? 1 : 0);
   w->PutU16(0);
-  if (result.trace.enabled) {
-    w->PutU64(result.trace.request_id);
-    for (double us : result.trace.stage_us) w->PutF64(us);
-    if (counters) {
-      w->PutU8(result.trace.counters_available ? 1 : 0);
-      for (int i = 0; i < 7; ++i) w->PutU8(0);
-      for (const util::StageCounterSample& c : result.trace.stage_counters) {
-        w->PutU64(c.cycles);
-        w->PutU64(c.instructions);
-        w->PutU64(c.llc_misses);
-      }
-    }
-  }
+  if (result.trace.enabled) AppendTraceSection(result.trace, w);
 }
 
 bool DecodeJoinResult(std::span<const uint8_t> payload,
@@ -247,11 +278,8 @@ bool DecodeJoinResult(std::span<const uint8_t> payload,
   // Divide, don't multiply: counts_len is attacker-controlled and
   // counts_len * 8 can wrap past the size check into a giant resize. The
   // v4 trailer after the counts is 4 bytes (traced flag + flags + pad),
-  // plus the trace id and stage array when traced, plus the counter
-  // section when flags bit 0 is set (v7).
+  // plus the trace section when traced.
   const size_t rem = r.remaining();
-  constexpr size_t kTraceBytes = 8 + 8 * service::kNumTraceStages;
-  constexpr size_t kCounterBytes = 8 + 24 * service::kNumTraceStages;
   if (rem < 4 || counts_len > (rem - 4) / 8) return false;
   const size_t counts_bytes = static_cast<size_t>(counts_len) * 8;
   s.counts.resize(counts_len);
@@ -263,28 +291,12 @@ bool DecodeJoinResult(std::span<const uint8_t> payload,
   // The counter section rides the trace: flags bit 0 without traced is a
   // conformance error, not a layout this decoder will guess at.
   if (flags == 1 && traced != 1) return false;
-  const size_t want = counts_bytes + 4 + (traced == 1 ? kTraceBytes : 0) +
-                      (flags == 1 ? kCounterBytes : 0);
+  const size_t want =
+      counts_bytes + 4 + (traced == 1 ? TraceSectionBytes(flags == 1) : 0);
   if (rem != want) return false;
-  out->trace = service::TraceContext{};
-  if (traced == 1) {
-    out->trace.enabled = true;
-    out->trace.request_id = r.U64();
-    for (double& us : out->trace.stage_us) us = r.F64();
-  }
-  if (flags == 1) {
-    uint8_t available = r.U8();
-    if (available > 1) return false;
-    for (int i = 0; i < 7; ++i) {
-      if (r.U8() != 0) return false;
-    }
-    out->trace.counters_enabled = true;
-    out->trace.counters_available = available == 1;
-    for (util::StageCounterSample& c : out->trace.stage_counters) {
-      c.cycles = r.U64();
-      c.instructions = r.U64();
-      c.llc_misses = r.U64();
-    }
+  out->trace = util::StageTrace{};
+  if (traced == 1 && !ReadTraceSection(&r, flags == 1, &out->trace)) {
+    return false;
   }
   return r.ok() && r.AtEnd();
 }
@@ -535,14 +547,16 @@ bool DecodeJoinDatasets(std::span<const uint8_t> payload,
 }
 
 // PAIR_RESULT payload: u32 chunk_index, u8 flags (bit 0: last; bit 1:
-// traced, v7, last-chunk-only), u8[3] reserved, u64 total_pairs, u32
-// num_pairs, num_pairs x (u32, u32), then on the last chunk the stats
-// tail, then when traced the trace tail (u64 trace request id +
-// kNumCrossMatchStages f64 stage micros, stream slot last).
+// traced, v7, last-chunk-only; bit 2: counter block, v8, traced-only),
+// u8[3] reserved, u64 total_pairs, u32 num_pairs, num_pairs x (u32, u32),
+// then on the last chunk the stats tail, then when traced the trace
+// section (stage order per join2::CrossMatchStage, the stream stage last).
 void AppendPairChunk(const PairChunk& chunk, util::ByteWriter* w) {
   const bool traced = chunk.last && chunk.trace.enabled;
+  const bool counters = traced && CarriesCounters(chunk.trace);
   w->PutU32(chunk.chunk_index);
-  w->PutU8(static_cast<uint8_t>((chunk.last ? 1 : 0) | (traced ? 2 : 0)));
+  w->PutU8(static_cast<uint8_t>((chunk.last ? 1 : 0) | (traced ? 2 : 0) |
+                                (counters ? 4 : 0)));
   w->PutU8(0);
   w->PutU16(0);
   w->PutU64(chunk.total_pairs);
@@ -563,10 +577,7 @@ void AppendPairChunk(const PairChunk& chunk, util::ByteWriter* w) {
     w->PutF64(s.service_us);
     w->PutF64(s.queue_wait_us);
   }
-  if (traced) {
-    w->PutU64(chunk.trace.request_id);
-    for (double us : chunk.trace.stage_us) w->PutF64(us);
-  }
+  if (traced) AppendTraceSection(chunk.trace, w);
 }
 
 bool DecodePairChunk(std::span<const uint8_t> payload, PairChunk* out) {
@@ -577,19 +588,20 @@ bool DecodePairChunk(std::span<const uint8_t> payload, PairChunk* out) {
   uint16_t pad16 = r.U16();
   out->total_pairs = r.U64();
   uint32_t n = r.U32();
-  if (!r.ok() || pad8 != 0 || pad16 != 0 || (flags & ~uint8_t{3}) != 0) {
+  if (!r.ok() || pad8 != 0 || pad16 != 0 || (flags & ~uint8_t{7}) != 0) {
     return false;
   }
   out->last = (flags & 1) != 0;
   const bool traced = (flags & 2) != 0;
-  // The trace tail rides the stats tail: a traced non-last chunk is a
+  const bool counters = (flags & 4) != 0;
+  // The trace section rides the stats tail and the counter block rides
+  // the trace: a traced non-last chunk, or counters without a trace, is a
   // conformance error.
-  if (traced && !out->last) return false;
-  constexpr size_t kCrossTraceBytes = 8 + 8 * join2::kNumCrossMatchStages;
+  if ((traced && !out->last) || (counters && !traced)) return false;
   // Forged-count bound: the pair array must fit what is actually left
   // (divide, don't multiply — n * 8 could wrap).
   const size_t tail =
-      (out->last ? 64 : 0) + (traced ? kCrossTraceBytes : 0);
+      (out->last ? 64 : 0) + (traced ? TraceSectionBytes(counters) : 0);
   if (r.remaining() < tail || (r.remaining() - tail) / 8 < n ||
       (r.remaining() - tail) != static_cast<size_t>(n) * 8) {
     return false;
@@ -614,12 +626,8 @@ bool DecodePairChunk(std::span<const uint8_t> payload, PairChunk* out) {
     s.queue_wait_us = r.F64();
     if (pad32 != 0) return false;
   }
-  out->trace = join2::CrossMatchTrace{};
-  if (traced) {
-    out->trace.enabled = true;
-    out->trace.request_id = r.U64();
-    for (double& us : out->trace.stage_us) us = r.F64();
-  }
+  out->trace = util::StageTrace{};
+  if (traced && !ReadTraceSection(&r, counters, &out->trace)) return false;
   return r.ok() && r.AtEnd();
 }
 
@@ -985,7 +993,9 @@ std::vector<uint8_t> EncodePairChunkFrame(uint64_t request_id,
                                           const PairChunk& chunk) {
   util::ByteWriter w(kFrameHeaderBytes + 20 + chunk.pairs.size() * 8 +
                      (chunk.last ? 64 : 0) +
-                     (chunk.last && chunk.trace.enabled ? 64 : 0));
+                     (chunk.last && chunk.trace.enabled
+                          ? TraceSectionBytes(CarriesCounters(chunk.trace))
+                          : 0));
   BeginFrame(&w, MessageType::kPairResult, request_id);
   AppendPairChunk(chunk, &w);
   return FinishFrame(std::move(w));
@@ -1090,35 +1100,20 @@ void PatchU64At(std::vector<uint8_t>* frame, size_t tail_offset,
 
 }  // namespace
 
-void PatchRespondStage(std::vector<uint8_t>* frame, double respond_us) {
-  // The respond slot is the trace array's last f64, which AppendJoinResult
-  // writes last — so it sits in the frame's final 8 bytes.
-  ACT_CHECK_MSG(frame->size() >= kFrameHeaderBytes + 8,
-                "PatchRespondStage on a non-traced frame");
-  PatchF64At(frame, 8, respond_us);
-}
-
-void PatchRespondStageWithCounters(std::vector<uint8_t>* frame,
-                                   double respond_us,
-                                   const util::StageCounterSample& respond) {
-  // Counter-section layout puts 8 header bytes + kNumTraceStages triples
-  // after the stage doubles: the respond f64 sits kCounterBytes + 8 from
-  // the end, and the respond triple occupies the final 24 bytes.
-  constexpr size_t kCounterBytes = 8 + 24 * service::kNumTraceStages;
-  ACT_CHECK_MSG(frame->size() >= kFrameHeaderBytes + kCounterBytes + 8,
-                "PatchRespondStageWithCounters on a counter-less frame");
-  PatchF64At(frame, kCounterBytes + 8, respond_us);
-  PatchU64At(frame, 24, respond.cycles);
-  PatchU64At(frame, 16, respond.instructions);
-  PatchU64At(frame, 8, respond.llc_misses);
-}
-
-void PatchStreamStage(std::vector<uint8_t>* frame, double stream_us) {
-  // The stream slot is the crossmatch trace array's last f64, which
-  // AppendPairChunk writes last on a traced last chunk.
-  ACT_CHECK_MSG(frame->size() >= kFrameHeaderBytes + 8,
-                "PatchStreamStage on a non-traced chunk");
-  PatchF64At(frame, 8, stream_us);
+void PatchLastStage(std::vector<uint8_t>* frame, double us,
+                    const util::StageCounterSample* counters) {
+  // The trace section ends the frame: the last stage's f64 is its final 8
+  // bytes, or sits just before the counter block when one follows — whose
+  // final 24 bytes are the last stage's triple.
+  const size_t counter_bytes = counters != nullptr ? kTraceCounterBytes : 0;
+  ACT_CHECK_MSG(
+      frame->size() >= kFrameHeaderBytes + kTraceStageBytes + counter_bytes,
+      "PatchLastStage on a frame without that trace section");
+  PatchF64At(frame, counter_bytes + 8, us);
+  if (counters == nullptr) return;
+  PatchU64At(frame, 24, counters->cycles);
+  PatchU64At(frame, 16, counters->instructions);
+  PatchU64At(frame, 8, counters->llc_misses);
 }
 
 std::vector<uint8_t> EncodeErrorFrame(uint64_t request_id, WireError code,

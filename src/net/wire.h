@@ -64,21 +64,16 @@
 // events pushed/dropped). Clients must treat request_id-0 frames as
 // out-of-band: a pipelined demultiplexer routes them by subscription id,
 // never to a request slot.
-// v7 is the profiling-plane release. A traced JOIN_RESULT may carry an
-// optional hardware-counter section: the reserved u8 after the traced flag
-// became a flags byte (bit 0: counters present, only valid when traced)
-// and, when set, the trace is followed by a per-stage counter block — u8
-// available + u8[7] reserved, then kNumTraceStages × (u64 cycles, u64
-// instructions, u64 llc_misses). `available` 0 means perf_event_open was
-// denied and the deltas are all zero (the section still frames
-// identically, so clients need no second code path). JOIN_DATASETS gained
-// a trace flag (the reserved u8 became flags, bit 0: trace), answered on
-// the *last* PAIR_RESULT chunk by a trace tail (flags bit 1) after the
-// stats block: u64 trace request id + kNumCrossMatchStages f64 stage
-// times in microseconds (admission, decode, queue, pin, descend, refine,
-// stream — the stream slot is patched at delivery, like JOIN_BATCH's
-// respond slot). An untraced v7 stream is byte-identical to v6 behind the
-// version byte.
+// v7 added the JOIN_RESULT counter block (flags bit 0 after the traced
+// flag), the JOIN_DATASETS trace flag, and the trace on the last
+// PAIR_RESULT chunk (flags bit 1). v8 gives every request kind one trace
+// section — u64 trace request id + util::kNumStages f64 stage micros,
+// then under the frame's counters flag u8 available (0: perf_event_open
+// denied, every delta zero) + u8[7] reserved + util::kNumStages × (u64
+// cycles, u64 instructions, u64 llc_misses) — ending its frame, its last
+// stage patched at delivery via PatchLastStage; PAIR_RESULT gains the
+// counters flag (bit 2, traced last chunk only). JOIN_RESULT bytes and
+// counter-less streams are byte-identical to v7 behind the version byte.
 
 #ifndef ACTJOIN_NET_WIRE_H_
 #define ACTJOIN_NET_WIRE_H_
@@ -90,19 +85,18 @@
 #include <vector>
 
 #include "geometry/polygon.h"
-#include "join2/cross_match_trace.h"
 #include "service/join_service.h"
 #include "service/service_stats.h"
 #include "service/slow_query_log.h"
 #include "service/subscription_matcher.h"
 #include "util/byte_io.h"
 #include "util/metrics.h"
-#include "util/perf_counters.h"
+#include "util/stage_trace.h"
 
 namespace actjoin::net {
 
 inline constexpr uint32_t kWireMagic = 0x4A544341;  // "ACTJ"
-inline constexpr uint8_t kWireVersion = 7;
+inline constexpr uint8_t kWireVersion = 8;
 inline constexpr size_t kFrameHeaderBytes = 24;
 /// Default cap on one frame (header + payload); a JOIN_BATCH point costs
 /// 24 payload bytes, so this admits ~2.7 M points per batch.
@@ -321,16 +315,15 @@ struct PairChunkStats {
 };
 
 /// One PAIR_RESULT chunk. Payload layout: u32 chunk_index, u8 flags
-/// (bit 0: last; bit 1: traced, v7, last-chunk-only), u8[3] reserved
-/// (must be 0), u64 total_pairs (of the whole result, identical in every
-/// chunk), u32 num_pairs, then num_pairs × (u32 a, u32 b), then — on the
-/// last chunk only — the PairChunkStats tail (three u64, u32 + u32
-/// reserved, two u64, two f64), then — when traced — the trace tail:
-/// u64 trace request id + kNumCrossMatchStages f64 stage times in
-/// microseconds (the stream slot last, patched in place at delivery via
-/// PatchStreamStage). Pairs arrive in the result's sorted order, split at
-/// page boundaries; an empty result is one last-flagged chunk with zero
-/// pairs.
+/// (bit 0: last; bit 1: traced, v7, last-chunk-only; bit 2: counter block
+/// present, v8, traced only), u8[3] reserved (must be 0), u64 total_pairs
+/// (of the whole result, identical in every chunk), u32 num_pairs, then
+/// num_pairs × (u32 a, u32 b), then — on the last chunk only — the
+/// PairChunkStats tail (three u64, u32 + u32 reserved, two u64, two f64),
+/// then — when traced — the trace section (see the header comment; the
+/// stream stage last, patched in place at delivery via PatchLastStage).
+/// Pairs arrive in the result's sorted order, split at page boundaries;
+/// an empty result is one last-flagged chunk with zero pairs.
 struct PairChunk {
   uint32_t chunk_index = 0;
   bool last = false;
@@ -338,9 +331,9 @@ struct PairChunk {
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   /// Meaningful only when `last` is set; default elsewhere.
   PairChunkStats stats;
-  /// Stage breakdown (v7); enabled only on the last chunk of a traced
-  /// JOIN_DATASETS stream.
-  join2::CrossMatchTrace trace;
+  /// Stage breakdown (v7), indexed by join2::CrossMatchStage; enabled
+  /// only on the last chunk of a traced JOIN_DATASETS stream.
+  util::StageTrace trace;
 
   friend bool operator==(const PairChunk&, const PairChunk&) = default;
 };
@@ -491,27 +484,13 @@ std::vector<uint8_t> EncodeMetricsReportFrame(uint64_t request_id,
                                               const MetricsReport& report);
 bool DecodeGetMetrics(std::span<const uint8_t> payload, MetricsFormat* format);
 
-/// Overwrites the respond-stage slot (the last f64 of a traced JOIN_RESULT
-/// frame) in place. The respond stage times the response *encode*, which
-/// cannot know its own duration while being encoded — so the encoder
-/// leaves a zero and the server patches the measured value here just
-/// before handing the frame to the event loop. No-op contract: only call
-/// on a frame built by EncodeJoinResultFrame from a trace-enabled result.
-void PatchRespondStage(std::vector<uint8_t>* frame, double respond_us);
-/// The counter-section variant (v7): on a traced frame carrying the
-/// hardware-counter section, the respond f64 sits before the 176-byte
-/// counter block, and the respond stage's own counter triple is the
-/// block's last 24 bytes — both unknowable while the frame is being
-/// encoded, so the server patches the measured values here. Only call on
-/// a frame built from a trace-enabled result with counters_enabled.
-void PatchRespondStageWithCounters(std::vector<uint8_t>* frame,
-                                   double respond_us,
-                                   const util::StageCounterSample& respond);
-/// JOIN_DATASETS analogue: overwrites the stream-stage slot (the last f64
-/// of a traced last PAIR_RESULT chunk) just before the frame is handed to
-/// the event loop. Only call on a frame built by EncodePairChunkFrame
-/// from a last chunk with trace.enabled.
-void PatchStreamStage(std::vector<uint8_t>* frame, double stream_us);
+/// Stamps the last stage (respond / stream) of the trace section ending
+/// `frame`: its wall time and, exactly when the section carries the
+/// counter block, its counter triple. That stage times the encode of the
+/// very frame that carries it, so the encoder leaves zeros for the server
+/// to patch here before handing the frame to the event loop.
+void PatchLastStage(std::vector<uint8_t>* frame, double us,
+                    const util::StageCounterSample* counters = nullptr);
 std::vector<uint8_t> EncodeErrorFrame(uint64_t request_id, WireError code,
                                       std::string_view message);
 /// PING / PONG / STATS / SHUTDOWN / SHUTDOWN_ACK carry no payload.

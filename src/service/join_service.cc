@@ -16,12 +16,6 @@ int ResolveWorkers(int requested) {
   return requested <= 0 ? util::DefaultThreadCount() : requested;
 }
 
-/// The calling worker's stage-attribution counter group. Set for the
-/// worker thread's lifetime by WorkerLoop when stage_perf_counters is on;
-/// the completion hooks the network front-end installs run on the same
-/// thread, which is how they reach the group for the respond stage.
-thread_local util::StagePerfCounters* tls_stage_perf = nullptr;
-
 std::future<JoinResult> FailedFuture(const char* what) {
   std::promise<JoinResult> p;
   p.set_exception(std::make_exception_ptr(std::runtime_error(what)));
@@ -214,8 +208,10 @@ JoinService::StagePerfTotals JoinService::StagePerfSnapshot() const {
   return out;
 }
 
-util::StagePerfCounters* JoinService::CurrentThreadStageCounters() {
-  return tls_stage_perf;
+util::StagePerfCounters* JoinService::StageCounters() const {
+  return opts_.stage_perf_counters
+             ? util::ThreadStageCounters(opts_.stage_perf_simulate_denied)
+             : nullptr;
 }
 
 void JoinService::RecordStageCounters(TraceStage stage,
@@ -542,21 +538,13 @@ ServiceStats JoinService::Stats() const {
 }
 
 void JoinService::WorkerLoop(int worker_id) {
-  // Per-thread counter group, opened once on the worker itself (perf
-  // events with pid=0 count the opening thread). Unavailable groups stay
-  // owned anyway: availability is per-open, and the request path checks.
-  std::unique_ptr<util::StagePerfCounters> stage_perf;
-  if (opts_.stage_perf_counters) {
-    stage_perf = std::make_unique<util::StagePerfCounters>(
-        util::StagePerfCounters::Options{
-            .simulate_denied = opts_.stage_perf_simulate_denied});
-    tls_stage_perf = stage_perf.get();
-    if (stage_perf->available()) {
-      stage_perf_available_.store(true, std::memory_order_release);
-    }
+  // Open this worker's counter group up front, so StagePerfSnapshot()
+  // reports availability before the first request is served.
+  if (const util::StagePerfCounters* group = StageCounters();
+      group != nullptr && group->available()) {
+    stage_perf_available_.store(true, std::memory_order_release);
   }
   while (auto req = queue_.Pop()) Execute(**req, worker_id);
-  tls_stage_perf = nullptr;
 }
 
 namespace {
@@ -698,22 +686,18 @@ void JoinService::Execute(Request& req, int worker_id) {
   // Stage attribution reads this worker's counter group at the phase
   // boundaries for *every* request (the histograms want the fleet, not
   // just traced requests); the deltas ride the wire only when traced.
-  const util::StagePerfCounters* stage_perf =
-      opts_.stage_perf_counters ? tls_stage_perf : nullptr;
+  const util::StagePerfCounters* stage_perf = StageCounters();
   const bool want_phases = traced || stage_perf != nullptr;
   if (cell_cache_ != nullptr) {
-    const bool count_stages = stage_perf != nullptr && stage_perf->available();
-    util::StageCounterSample before;
-    if (count_stages) before = stage_perf->Read();
-    result.stats = CachedJoin(*snapshot, input, req.batch.mode,
-                              req.batch.dataset_id, result.epoch);
     // The cached path interleaves lookup/probe/count per point; there is
     // no decompose/merge boundary to time, so its whole wall is probe.
-    if (traced) phases.probe_us = result.stats.seconds * 1e6;
-    if (count_stages) {
-      phases.probe_counters = stage_perf->Read() - before;
-      phases.counters_valid = true;
-    }
+    util::StageLap lap(stage_perf);
+    result.stats = CachedJoin(*snapshot, input, req.batch.mode,
+                              req.batch.dataset_id, result.epoch);
+    const util::StageSplit probe = lap.Lap();
+    phases.probe_us = probe.us;
+    phases.probe_counters = probe.counters;
+    phases.counters_valid = lap.counting();
   } else {
     // With a shared pool the join's task units drain through it (and this
     // worker helps); otherwise the executor is threads_per_join wide.
@@ -726,27 +710,23 @@ void JoinService::Execute(Request& req, int worker_id) {
   result.service_ms = service_timer.ElapsedMillis();
 
   if (traced) {
-    result.trace.enabled = true;
-    result.trace.request_id = req.batch.trace_id;
-    result.trace.at(TraceStage::kQueue) = queue_wait_ms * 1e3;
-    result.trace.at(TraceStage::kDecompose) = phases.route_us;
-    result.trace.at(TraceStage::kProbe) = phases.probe_us;
+    util::StageTrace& trace = result.trace;
+    trace.enabled = true;
+    trace.request_id = req.batch.trace_id;
+    trace.counters_enabled = opts_.stage_perf_counters;
+    trace.counters_available = phases.counters_valid;
+    trace.at(TraceStage::kQueue) = queue_wait_ms * 1e3;
+    trace.Charge(TraceStage::kDecompose,
+                 {phases.route_us, phases.route_counters});
+    trace.Charge(TraceStage::kProbe, {phases.probe_us, phases.probe_counters});
     // Merge absorbs the service-wall leftover (snapshot pin, stats copy,
     // anything between the measured phases), so the stages tile the
     // request's server-side time instead of under-reporting it.
     const double leftover = result.service_ms * 1e3 - phases.route_us -
                             phases.probe_us - phases.merge_us;
-    result.trace.at(TraceStage::kMerge) =
-        phases.merge_us + (leftover > 0 ? leftover : 0);
-    if (opts_.stage_perf_counters) {
-      result.trace.counters_enabled = true;
-      result.trace.counters_available = phases.counters_valid;
-      if (phases.counters_valid) {
-        result.trace.counters(TraceStage::kDecompose) = phases.route_counters;
-        result.trace.counters(TraceStage::kProbe) = phases.probe_counters;
-        result.trace.counters(TraceStage::kMerge) = phases.merge_counters;
-      }
-    }
+    trace.Charge(TraceStage::kMerge,
+                 {phases.merge_us + (leftover > 0 ? leftover : 0),
+                  phases.merge_counters});
   }
   if (phases.counters_valid) {
     RecordStageCounters(TraceStage::kDecompose, phases.route_counters);

@@ -100,15 +100,15 @@ struct ServiceOptions {
   /// time, always on) and of the structured event ring.
   size_t slow_query_log_capacity = 32;
   size_t event_log_capacity = 256;
-  /// Opt-in hardware-counter stage attribution: every worker thread opens
-  /// one per-thread util::StagePerfCounters group (cycles / instructions /
-  /// LLC misses) at loop entry, and each request's decompose/probe/merge
-  /// stages charge counter deltas read at the existing phase boundaries —
-  /// one group read() per boundary, so the hot-path cost stays inside the
-  /// bench smoke's 5% gate. Traced requests carry the per-stage deltas
-  /// inline in the wire response's trace block; every request (traced or
-  /// not) feeds the stage_cycles / stage_instructions / stage_llc_misses
-  /// registry histograms and the /statusz totals. When the kernel denies
+  /// Opt-in hardware-counter stage attribution for both request kinds:
+  /// every thread that runs a stage charges it through its own
+  /// util::ThreadStageCounters group (cycles / instructions / LLC misses),
+  /// one group read() per stage boundary, so the hot-path cost stays
+  /// inside the bench smoke's 5% gate. Traced JOIN_BATCH and JOIN_DATASETS
+  /// requests carry the per-stage deltas inline in the wire response's
+  /// trace section; every JOIN_BATCH (traced or not) also feeds the
+  /// stage_cycles / stage_instructions / stage_llc_misses registry
+  /// histograms and the /statusz totals. When the kernel denies
   /// perf_event_open the mode degrades to all-zero deltas flagged
   /// unavailable — never fabricated numbers.
   bool stage_perf_counters = false;
@@ -180,7 +180,7 @@ struct JoinResult {
   /// Stage breakdown; enabled iff the request set QueryBatch::trace. The
   /// service fills queue/decompose/probe/merge; the network front-end
   /// fills admission/decode/respond around them.
-  TraceContext trace;
+  util::StageTrace trace;
 };
 
 class JoinService {
@@ -334,11 +334,11 @@ class JoinService {
   };
   StagePerfTotals StagePerfSnapshot() const;
 
-  /// The per-thread counter group of the calling service worker; null off
-  /// the workers or when stage_perf_counters is off. The network
-  /// front-end's completion hooks — which run on the executing worker —
-  /// use it to attribute the respond stage (encode + delivery handoff).
-  static util::StagePerfCounters* CurrentThreadStageCounters();
+  /// The calling thread's counter group (util::ThreadStageCounters, in
+  /// this service's simulate_denied mode) when stage_perf_counters is on;
+  /// null when it is off. What every stage lap of this service's requests
+  /// charges, on whichever thread runs the stage.
+  util::StagePerfCounters* StageCounters() const;
 
   /// Adds one stage's counter delta to the totals and the registry
   /// histograms. The worker path charges decompose/probe/merge through

@@ -7,6 +7,7 @@
 #include "cover/coverer.h"
 #include "util/check.h"
 #include "util/parallel_for.h"
+#include "util/stage_trace.h"
 #include "util/timer.h"
 #include "util/work_stealing_pool.h"
 
@@ -368,13 +369,6 @@ act::JoinStats ShardedIndex::Join(const act::JoinInput& input,
                                   JoinPhaseTimes* phases,
                                   const util::StagePerfCounters* stage_perf) const {
   util::WallTimer timer;
-  // Counter attribution is phase-boundary group reads on this thread; an
-  // unavailable group degrades to counters_valid = false, never to zeros
-  // masquerading as measurements.
-  const bool count_stages =
-      phases != nullptr && stage_perf != nullptr && stage_perf->available();
-  util::StageCounterSample perf_mark;
-  if (count_stages) perf_mark = stage_perf->Read();
   const uint64_t n = input.size();
   act::JoinStats out;
   out.num_points = n;
@@ -384,7 +378,10 @@ act::JoinStats ShardedIndex::Join(const act::JoinInput& input,
     return out;
   }
 
-  util::WallTimer phase_timer;
+  // Counter attribution is phase-boundary group reads on this thread; an
+  // unavailable group degrades to counters_valid = false, never to zeros
+  // masquerading as measurements.
+  util::StageLap lap(phases != nullptr ? stage_perf : nullptr);
   std::vector<uint64_t> offsets, cells;
   std::vector<geom::Point> points;
   RouteBatch(*this, input, &offsets, &cells, &points, nullptr);
@@ -397,17 +394,10 @@ act::JoinStats ShardedIndex::Join(const act::JoinInput& input,
   // parallelism comes only from the task fan-out, so nothing nests.
   const int budget = util::EffectiveWidth(pool, opts.threads);
   std::vector<TaskUnit> tasks = DecomposeBatch(*this, offsets, n, budget);
-  if (phases != nullptr) phases->route_us = phase_timer.ElapsedSeconds() * 1e6;
-  if (count_stages) {
-    util::StageCounterSample now = stage_perf->Read();
-    phases->route_counters = now - perf_mark;
-    perf_mark = now;
-    phases->counters_valid = true;
-  }
+  const util::StageSplit route = lap.Lap();
   std::vector<act::JoinStats> task_stats(tasks.size());
   act::JoinOptions task_opts = opts;
   task_opts.threads = 1;
-  phase_timer.Restart();
   RunTasks(tasks.size(), budget, pool, [&](uint64_t t) {
     const TaskUnit& u = tasks[t];
     const uint64_t count = u.end - u.begin;
@@ -415,17 +405,11 @@ act::JoinStats ShardedIndex::Join(const act::JoinInput& input,
                        std::span(points).subspan(u.begin, count)};
     task_stats[t] = shards_[u.shard].index->Join(sub, task_opts);
   });
-  if (phases != nullptr) phases->probe_us = phase_timer.ElapsedSeconds() * 1e6;
-  if (count_stages) {
-    util::StageCounterSample now = stage_perf->Read();
-    phases->probe_counters = now - perf_mark;
-    perf_mark = now;
-  }
+  const util::StageSplit probe = lap.Lap();
 
   // Deterministic merge: task order is shard-major/range-minor by
   // construction and JoinStats fields are exact integer counters, so the
   // execution interleaving cannot leak into the result.
-  phase_timer.Restart();
   for (size_t t = 0; t < tasks.size(); ++t) {
     const Shard& shard = shards_[tasks[t].shard];
     const act::JoinStats& st = task_stats[t];
@@ -440,9 +424,10 @@ act::JoinStats ShardedIndex::Join(const act::JoinInput& input,
     // miss (the sharded analog of the sentinel probe).
     out.sth_points += offsets[s + 1] - offsets[s];
   }
-  if (phases != nullptr) phases->merge_us = phase_timer.ElapsedSeconds() * 1e6;
-  if (count_stages) {
-    phases->merge_counters = stage_perf->Read() - perf_mark;
+  const util::StageSplit merge = lap.Lap();
+  if (phases != nullptr) {
+    *phases = {route.us,       probe.us,       merge.us, lap.counting(),
+               route.counters, probe.counters, merge.counters};
   }
   out.seconds = timer.ElapsedSeconds();  // includes routing, fair total
   return out;

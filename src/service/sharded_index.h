@@ -171,7 +171,7 @@ class ShardedIndex {
   /// of opts.threads for this call.
   ///
   /// A non-null `phases` receives the per-phase wall breakdown; timing is
-  /// three WallTimer reads, so passing it costs nothing measurable. A
+  /// three util::StageLap laps, so passing it costs nothing measurable. A
   /// non-null `stage_perf` (an available per-thread group opened by the
   /// calling thread) additionally fills the phase counter deltas — one
   /// group read() per phase boundary.

@@ -1,27 +1,20 @@
-// Per-request tracing: a TraceContext allocated at frame decode rides the
-// request through every serving stage and comes back inline in the
-// JOIN_BATCH response when the client sets the trace flag.
-//
-// The stages tile the request's server-side lifetime: admission check,
-// payload decode, queue wait, shard decomposition, probe/refine across
-// task units, fixed-order merge, and response encode+write. Their sum is
-// the server's view of end-to-end service time — the acceptance contract
-// is that it lands within 10% of the wall time a loopback client measures
-// around the call (the remainder is transport).
+// The JOIN_BATCH stage names for util::StageTrace (util/stage_trace.h).
+// The stages tile the request's server-side lifetime; the acceptance
+// contract is that their sum lands within 10% of the wall time a loopback
+// client measures around the call (the remainder is transport).
 
 #ifndef ACTJOIN_SERVICE_TRACE_H_
 #define ACTJOIN_SERVICE_TRACE_H_
 
-#include <array>
 #include <cstdint>
 
-#include "util/perf_counters.h"
+#include "util/stage_trace.h"
 
 namespace actjoin::service {
 
 enum class TraceStage : uint8_t {
   kAdmission = 0,  // admission-control decision (rate/bytes/watermark)
-  kDecode = 1,     // wire payload -> QueryBatch
+  kDecode = 1,     // wire payload -> QueryBatch, up to the submit call
   kQueue = 2,      // bounded-queue wait until a worker picks it up
   kDecompose = 3,  // route batch to shards + carve (shard, range) tasks
   kProbe = 4,      // per-task probe/refine across the pool (wall, not CPU)
@@ -29,7 +22,7 @@ enum class TraceStage : uint8_t {
   kRespond = 6,    // response encode + delivery to the event loop
 };
 
-inline constexpr int kNumTraceStages = 7;
+inline constexpr int kNumTraceStages = util::kNumStages;
 
 inline const char* TraceStageName(TraceStage s) {
   switch (s) {
@@ -43,45 +36,6 @@ inline const char* TraceStageName(TraceStage s) {
   }
   return "?";
 }
-
-/// Stage breakdown for one request. Plain data: copied into JoinResult and
-/// encoded inline in the response when enabled.
-struct TraceContext {
-  uint64_t request_id = 0;
-  bool enabled = false;
-  /// Wall time spent in each stage, microseconds, indexed by TraceStage.
-  std::array<double, kNumTraceStages> stage_us{};
-
-  /// Hardware-counter attribution (ServiceOptions::stage_perf_counters):
-  /// cycles / instructions / LLC-miss deltas per stage, measured by the
-  /// per-thread StagePerfCounters group of whichever thread ran the stage.
-  /// `counters_enabled` marks the mode on for this request (the wire block
-  /// carries the section); `counters_available` is false when the kernel
-  /// denied perf_event_open — the deltas are then all zero and flagged
-  /// unavailable, never fabricated. kQueue stays zero by construction (a
-  /// queued request burns no CPU anywhere attributable).
-  bool counters_enabled = false;
-  bool counters_available = false;
-  std::array<util::StageCounterSample, kNumTraceStages> stage_counters{};
-
-  double& at(TraceStage s) { return stage_us[static_cast<int>(s)]; }
-  double at(TraceStage s) const { return stage_us[static_cast<int>(s)]; }
-
-  util::StageCounterSample& counters(TraceStage s) {
-    return stage_counters[static_cast<int>(s)];
-  }
-  const util::StageCounterSample& counters(TraceStage s) const {
-    return stage_counters[static_cast<int>(s)];
-  }
-
-  double TotalMicros() const {
-    double total = 0;
-    for (double v : stage_us) total += v;
-    return total;
-  }
-
-  friend bool operator==(const TraceContext&, const TraceContext&) = default;
-};
 
 }  // namespace actjoin::service
 

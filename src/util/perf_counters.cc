@@ -1,6 +1,7 @@
 #include "util/perf_counters.h"
 
 #include <cstring>
+#include <memory>
 
 #include "util/timer.h"
 
@@ -185,6 +186,17 @@ StageCounterSample StagePerfCounters::Read() const {
   s.llc_misses = buf.values[2];
 #endif
   return s;
+}
+
+StagePerfCounters* ThreadStageCounters(bool simulate_denied) {
+  thread_local std::unique_ptr<StagePerfCounters> group;
+  thread_local bool denied = false;
+  if (group == nullptr || denied != simulate_denied) {
+    group = std::make_unique<StagePerfCounters>(
+        StagePerfCounters::Options{.simulate_denied = simulate_denied});
+    denied = simulate_denied;
+  }
+  return group.get();
 }
 
 }  // namespace actjoin::util

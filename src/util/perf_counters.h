@@ -13,9 +13,10 @@
 //     bench shape: arm, run the workload, read).
 //   * StagePerfCounters — a per-thread, permanently-enabled 3-event group
 //     (cycles / instructions / LLC misses) read as one group read() at
-//     serving-stage boundaries. A serving worker opens it once and charges
-//     each trace stage the delta between two Read() calls, so the hot-path
-//     cost is one syscall per boundary, not an ioctl dance per request.
+//     serving-stage boundaries. Each serving thread opens its own once
+//     (ThreadStageCounters) and util::StageLap charges each trace stage
+//     the delta between two reads, so the hot-path cost is one syscall
+//     per boundary, not an ioctl dance per request.
 //
 // Both degrade to `available() == false` (all-zero samples) when
 // perf_event_open is denied, and both take a simulate_denied seam that
@@ -133,6 +134,13 @@ class StagePerfCounters {
   int member_fds_[2] = {-1, -1};
   bool available_ = false;
 };
+
+/// The calling thread's StagePerfCounters group, opened lazily on the
+/// thread's first call and closed when the thread exits (perf counts the
+/// opening thread, so every thread that charges stages needs its own).
+/// Never null; check available(). A call asking for the other
+/// `simulate_denied` mode reopens the group in that mode.
+StagePerfCounters* ThreadStageCounters(bool simulate_denied = false);
 
 }  // namespace actjoin::util
 

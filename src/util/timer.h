@@ -22,6 +22,15 @@ class WallTimer {
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
+  /// ElapsedSeconds() and Restart() at the same instant (one clock read),
+  /// so consecutive laps tile the interval with nothing between them.
+  double LapSeconds() {
+    const Clock::time_point now = Clock::now();
+    const double s = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return s;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -206,6 +206,77 @@ TEST(CrossMatchWireCodec, PairChunkTraceRoundTrip) {
   EXPECT_FALSE(DecodePairChunk(forged, &got));
 }
 
+TEST(CrossMatchWireCodec, PairChunkCounterSectionRoundTripAndPatch) {
+  // v8: under stage_perf_counters a traced last chunk carries the same
+  // counter block as JOIN_RESULT (flags bit 2) after the stage times.
+  PairChunk chunk = MakeChunk(7, true, 1000, 5);
+  chunk.trace.enabled = true;
+  chunk.trace.request_id = 555;
+  chunk.trace.counters_enabled = true;
+  chunk.trace.counters_available = true;
+  for (int s = 0; s < join2::kNumCrossMatchStages; ++s) {
+    const auto u = static_cast<uint64_t>(s);
+    chunk.trace.stage_us[static_cast<size_t>(s)] = 10.5 * (s + 1);
+    chunk.trace.stage_counters[static_cast<size_t>(s)] = {
+        1000 * u + 1, 2000 * u + 2, 30 * u};
+  }
+  util::ByteWriter w;
+  AppendPairChunk(chunk, &w);
+  const std::vector<uint8_t> good = w.bytes();
+  EXPECT_EQ(good[4], 1 | 2 | 4);
+  PairChunk got;
+  ASSERT_TRUE(DecodePairChunk(good, &got));
+  EXPECT_EQ(got, chunk);
+
+  // Truncation at every byte boundary fails decode.
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    std::vector<uint8_t> bad(good.begin(), good.begin() + cut);
+    EXPECT_FALSE(DecodePairChunk(bad, &got)) << "cut=" << cut;
+  }
+  // The counter block rides the trace section, which rides the last
+  // chunk: bit 2 without bit 1, or on a non-last chunk, is malformed.
+  std::vector<uint8_t> forged = good;
+  forged[4] = 1 | 4;
+  EXPECT_FALSE(DecodePairChunk(forged, &got));
+  forged = good;
+  forged[4] = 2 | 4;
+  EXPECT_FALSE(DecodePairChunk(forged, &got));
+  util::ByteWriter wm;
+  AppendPairChunk(MakeChunk(2, false, 1000, 5), &wm);
+  forged = wm.bytes();
+  forged[4] |= 4;
+  EXPECT_FALSE(DecodePairChunk(forged, &got));
+  // The availability byte admits only 0 / 1, and its pad must be clean.
+  constexpr size_t kCounterBytes = 8 + 24 * join2::kNumCrossMatchStages;
+  forged = good;
+  forged[good.size() - kCounterBytes] = 2;
+  EXPECT_FALSE(DecodePairChunk(forged, &got));
+  forged = good;
+  forged[good.size() - kCounterBytes + 5] = 1;
+  EXPECT_FALSE(DecodePairChunk(forged, &got));
+
+  // The one last-stage patch lands the stream time and triple in place.
+  std::vector<uint8_t> frame = EncodePairChunkFrame(9, chunk);
+  const util::StageCounterSample stream{111, 222, 3};
+  PatchLastStage(&frame, 33.25, &stream);
+  ASSERT_TRUE(DecodePairChunk(
+      std::span(frame).subspan(kFrameHeaderBytes), &got));
+  using join2::CrossMatchStage;
+  EXPECT_EQ(got.trace.at(CrossMatchStage::kStream), 33.25);
+  EXPECT_EQ(got.trace.counters(CrossMatchStage::kStream), stream);
+  EXPECT_EQ(got.trace.counters(CrossMatchStage::kDescend),
+            chunk.trace.counters(CrossMatchStage::kDescend));
+
+  // Counters off: the traced chunk keeps its v7 shape.
+  chunk.trace.counters_enabled = false;
+  util::ByteWriter w7;
+  AppendPairChunk(chunk, &w7);
+  EXPECT_EQ(w7.bytes()[4], 1 | 2);
+  EXPECT_EQ(w7.bytes().size(), good.size() - kCounterBytes);
+  ASSERT_TRUE(DecodePairChunk(w7.bytes(), &got));
+  EXPECT_FALSE(got.trace.counters_enabled);
+}
+
 TEST(CrossMatchWireCodec, PairChunkRejectsMalformed) {
   for (bool last : {false, true}) {
     util::ByteWriter w;
@@ -257,11 +328,10 @@ struct ServerFixture {
   std::unique_ptr<JoinServer> server;
   uint16_t id_a = 0, id_b = 0;
 
-  explicit ServerFixture(int worker_threads = 2) {
+  explicit ServerFixture(int worker_threads = 2, ServiceOptions sopts = {}) {
     pa = Partition(5, 4, 3131);
     pb = Partition(4, 6, 4242);
     Grid grid;
-    ServiceOptions sopts;
     sopts.worker_threads = worker_threads;
     service =
         std::make_unique<JoinService>(BuildShared(pa, grid, 3), sopts);
@@ -372,6 +442,67 @@ TEST(CrossMatchWireServer, TracedCrossMatchStagesTileWallTime) {
                 reply.trace.at(CrossMatchStage::kPin),
             0.0);
   EXPECT_GT(reply.trace.at(CrossMatchStage::kStream), 0.0);
+}
+
+TEST(CrossMatchWireServer, StagePerfCountersRideTracedCrossMatches) {
+  // ServiceOptions::stage_perf_counters covers JOIN_DATASETS too: a traced
+  // crossmatch's last chunk carries the counter block — real deltas when
+  // the kernel grants perf_event_open, a typed all-zero `unavailable`
+  // block when it doesn't (forced here by the simulate_denied seam).
+  // Untraced crossmatches never carry it.
+  for (bool simulate_denied : {false, true}) {
+    ServiceOptions sopts;
+    sopts.stage_perf_counters = true;
+    sopts.stage_perf_simulate_denied = simulate_denied;
+    ServerFixture fx(/*worker_threads=*/2, sopts);
+    std::string error;
+    ASSERT_TRUE(fx.Start(&error)) << error;
+    JoinClient client;
+    ASSERT_TRUE(client.Connect(fx.server->host(), fx.server->port(), &error))
+        << error;
+
+    JoinClient::CrossMatchReply plain =
+        client.CrossMatch(fx.id_a, {.dataset_b = fx.id_b});
+    ASSERT_TRUE(plain.ok) << plain.message;
+    EXPECT_FALSE(plain.trace.enabled);
+    EXPECT_FALSE(plain.trace.counters_enabled);
+
+    // A small page makes a multi-chunk stream: the block rides the last.
+    JoinClient::CrossMatchReply reply = client.CrossMatch(
+        fx.id_a, {.dataset_b = fx.id_b, .page_size = 7, .trace = true});
+    ASSERT_TRUE(reply.ok) << reply.message;
+    EXPECT_EQ(reply.pairs, plain.pairs);
+    EXPECT_GT(reply.num_chunks, 1u);
+    const util::StageTrace& trace = reply.trace;
+    ASSERT_TRUE(trace.enabled);
+    ASSERT_TRUE(trace.counters_enabled);
+    using join2::CrossMatchStage;
+    // kQueue burns no attributable CPU by construction.
+    EXPECT_EQ(trace.counters(CrossMatchStage::kQueue),
+              util::StageCounterSample{});
+    if (simulate_denied) {
+      EXPECT_FALSE(trace.counters_available);
+    }
+    if (trace.counters_available) {
+      for (CrossMatchStage s :
+           {CrossMatchStage::kDecode, CrossMatchStage::kPin,
+            CrossMatchStage::kDescend, CrossMatchStage::kRefine,
+            CrossMatchStage::kStream}) {
+        EXPECT_GT(trace.counters(s).cycles, 0u) << CrossMatchStageName(s);
+        EXPECT_GT(trace.counters(s).instructions, 0u)
+            << CrossMatchStageName(s);
+      }
+    } else {
+      // Denied: typed unavailable, never fabricated numbers.
+      for (int s = 0; s < join2::kNumCrossMatchStages; ++s) {
+        EXPECT_EQ(trace.stage_counters[static_cast<size_t>(s)],
+                  util::StageCounterSample{})
+            << CrossMatchStageName(static_cast<CrossMatchStage>(s));
+      }
+    }
+    // The wall-clock stage trace itself is unaffected by the mode.
+    EXPECT_GT(trace.at(CrossMatchStage::kStream), 0.0);
+  }
 }
 
 TEST(CrossMatchWireServer, TypedRejectsNameTheOffendingSide) {

@@ -23,6 +23,7 @@
 
 #include "exposition_test_util.h"
 #include "geo/grid.h"
+#include "join2/cross_match_stage.h"
 #include "service/join_service.h"
 #include "service/slow_query_log.h"
 #include "service/trace.h"
@@ -210,18 +211,35 @@ namespace {
 // --- Trace context and slow-query log --------------------------------------
 
 TEST(Trace, ContextStageAccessorsAndTotal) {
-  TraceContext trace;
-  EXPECT_FALSE(trace.enabled);
-  for (int s = 0; s < kNumTraceStages; ++s) {
-    EXPECT_EQ(trace.stage_us[static_cast<size_t>(s)], 0.0);
-    EXPECT_NE(std::string(TraceStageName(static_cast<TraceStage>(s))), "");
-  }
-  trace.at(TraceStage::kAdmission) = 1.0;
-  trace.at(TraceStage::kProbe) = 40.0;
-  trace.at(TraceStage::kRespond) = 2.0;
-  EXPECT_EQ(trace.TotalMicros(), 43.0);
-  EXPECT_EQ(std::string(TraceStageName(TraceStage::kQueue)), "queue");
-  EXPECT_EQ(std::string(TraceStageName(TraceStage::kRespond)), "respond");
+  // One util::StageTrace serves every request kind: each kind's stage enum
+  // indexes the same seven slots and keeps its own name table.
+  auto check = [](auto probe, auto last, auto name, const char* last_name) {
+    using Stage = decltype(probe);
+    util::StageTrace trace;
+    EXPECT_FALSE(trace.enabled);
+    for (int s = 0; s < kNumTraceStages; ++s) {
+      EXPECT_EQ(trace.stage_us[static_cast<size_t>(s)], 0.0);
+      EXPECT_NE(std::string(name(static_cast<Stage>(s))), "");
+    }
+    trace.at(Stage::kAdmission) = 1.0;
+    trace.at(probe) = 40.0;
+    trace.at(last) = 2.0;
+    EXPECT_EQ(trace.TotalMicros(), 43.0);
+    EXPECT_EQ(std::string(name(Stage::kQueue)), "queue");
+    EXPECT_EQ(std::string(name(last)), last_name);
+    // Charge lands the lap's wall time, and its counters only once the
+    // trace carries them.
+    const util::StageSplit lap{.us = 3.0, .counters = {5, 6, 7}};
+    trace.Charge(last, lap);
+    EXPECT_EQ(trace.at(last), 3.0);
+    EXPECT_EQ(trace.counters(last), util::StageCounterSample{});
+    trace.counters_enabled = true;
+    trace.Charge(last, lap);
+    EXPECT_EQ(trace.counters(last), lap.counters);
+  };
+  check(TraceStage::kProbe, TraceStage::kRespond, TraceStageName, "respond");
+  check(join2::CrossMatchStage::kDescend, join2::CrossMatchStage::kStream,
+        join2::CrossMatchStageName, "stream");
 }
 
 TEST(Trace, SlowQueryLogKeepsTopKByServiceTime) {

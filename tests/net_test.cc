@@ -406,7 +406,7 @@ TEST(NetWire, TracedJoinResultRoundTripAndRespondPatch) {
   // The server patches the measured respond time into the encoded frame's
   // last f64 just before handing it to the event loop.
   std::vector<uint8_t> frame = EncodeJoinResultFrame(99, result);
-  PatchRespondStage(&frame, 12.5);
+  PatchLastStage(&frame, 12.5);
   FrameHeader header;
   size_t frame_bytes = 0;
   WireError err = WireError::kNone;
@@ -483,7 +483,8 @@ TEST(NetWire, JoinResultCounterSectionRoundTripAndPatch) {
   // The counter-aware respond patch lands both the f64 stage time and the
   // respond triple without disturbing anything around them.
   std::vector<uint8_t> frame = EncodeJoinResultFrame(7, result);
-  PatchRespondStageWithCounters(&frame, 33.25, {111, 222, 3});
+  const util::StageCounterSample respond_patch{111, 222, 3};
+  PatchLastStage(&frame, 33.25, &respond_patch);
   FrameHeader header;
   size_t frame_bytes = 0;
   WireError err = WireError::kNone;
@@ -1565,7 +1566,7 @@ TEST(NetServer, TracedJoinStagesTileLoopbackWallTime) {
     }
     if (best_ratio >= 0.9) break;
   }
-  const service::TraceContext& trace = reply.result.trace;
+  const util::StageTrace& trace = reply.result.trace;
   ASSERT_TRUE(trace.enabled);
   EXPECT_NE(trace.request_id, 0u);  // echoes the frame's request id
 
@@ -1627,7 +1628,7 @@ TEST(NetServer, StagePerfCountersRideTracedJoins) {
   batch.trace = true;
   JoinClient::Reply reply = client.Join(batch);
   ASSERT_TRUE(reply.ok) << reply.message;
-  const service::TraceContext& trace = reply.result.trace;
+  const util::StageTrace& trace = reply.result.trace;
   ASSERT_TRUE(trace.enabled);
   ASSERT_TRUE(trace.counters_enabled);
   using service::TraceStage;
