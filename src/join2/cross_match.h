@@ -170,11 +170,13 @@ class IntervalView {
 };
 
 /// Wall time per crossmatch phase, microseconds — the request-tracing
-/// seam, mirroring ShardedIndex::JoinPhaseTimes. pin covers flattening +
-/// coarsening both probe surfaces (CrossMatchIndexes only; CrossMatch over
-/// prebuilt views reports 0), descend covers the synchronized descent
-/// through candidate dedup, refine covers predicate evaluation and output
-/// assembly.
+/// seam, mirroring ShardedIndex::JoinPhaseTimes. pin is obtaining both
+/// probe surfaces and is filled by whoever obtains them (CrossMatch leaves
+/// it alone): CrossMatchIndexes times flattening + coarsening both views;
+/// DatasetCrossMatcher times the snapshot pin + its per-epoch view-cache
+/// lookup, which builds only on an epoch's first crossmatch. descend
+/// covers the synchronized descent through candidate dedup, refine covers
+/// predicate evaluation and output assembly.
 struct CrossMatchPhaseTimes {
   double pin_us = 0;
   double descend_us = 0;

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "util/stage_trace.h"
 #include "util/timer.h"
 
 namespace actjoin::join2 {
@@ -46,6 +47,10 @@ void DatasetCrossMatcher::RegisterMetrics() {
                             "Deepest span pair of the last crossmatch");
   service_time_us_ = m->GetHistogram("crossmatch_service_time_us",
                                      "Crossmatch service time per request");
+  view_builds_total_ = m->GetCounter(
+      "crossmatch_view_builds_total",
+      "Crossmatch probe-surface (IntervalView) builds: one per dataset "
+      "epoch, plus one per request that pinned a superseded epoch");
 }
 
 namespace {
@@ -77,21 +82,35 @@ CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
       return out;
     }
   }
+  const util::StagePerfCounters* stage_perf = service_->StageCounters();
+  util::StageLap lap(req.trace ? stage_perf : nullptr);
   // Pin both snapshots for the duration of the join. Servable() was true
   // above, so both registries exist and have published (epoch != 0); a
-  // concurrent swap/delta/drop retires neither pinned snapshot.
+  // concurrent swap/delta/drop retires neither pinned snapshot. A
+  // self-join pins once, so both sides are the same epoch.
+  const bool self_join = req.dataset_a == req.dataset_b;
   service::ServiceCatalog::Snapshot snap_a =
       catalog.Find(req.dataset_a)->Acquire(&out.epoch_a);
-  service::ServiceCatalog::Snapshot snap_b =
-      catalog.Find(req.dataset_b)->Acquire(&out.epoch_b);
+  service::ServiceCatalog::Snapshot snap_b = snap_a;
+  out.epoch_b = out.epoch_a;
+  if (!self_join) {
+    snap_b = catalog.Find(req.dataset_b)->Acquire(&out.epoch_b);
+  }
+  const std::shared_ptr<const IntervalView> view_a =
+      ViewOf(req.dataset_a, *snap_a, out.epoch_a);
+  const std::shared_ptr<const IntervalView> view_b =
+      self_join ? view_a : ViewOf(req.dataset_b, *snap_b, out.epoch_b);
+  CrossMatchPhaseTimes phases;
+  const util::StageSplit pin = lap.Lap();
+  phases.pin_us = pin.us;
+  phases.pin_counters = pin.counters;
 
   CrossMatchOptions opts;
   opts.mode = req.mode;
   opts.threads = service_->options().threads_per_join;
-  CrossMatchPhaseTimes phases;
-  out.pairs = CrossMatchIndexes(
-      *snap_a, *snap_b, opts, service_->shared_pool(), &out.stats,
-      req.trace ? &phases : nullptr, service_->StageCounters());
+  out.pairs = CrossMatch(*view_a, *view_b, opts, service_->shared_pool(),
+                         &out.stats, req.trace ? &phases : nullptr,
+                         stage_perf);
   out.service_us = timer.ElapsedSeconds() * 1e6;
 
   if (req.trace) {
@@ -104,9 +123,9 @@ CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
     trace.Charge(CrossMatchStage::kPin, {phases.pin_us, phases.pin_counters});
     trace.Charge(CrossMatchStage::kDescend,
                  {phases.descend_us, phases.descend_counters});
-    // Refine absorbs the service-wall leftover (validation, snapshot
-    // acquire, result move) so the worker-side stages tile service_us —
-    // the same discipline as JOIN_BATCH's merge stage.
+    // Refine absorbs the service-wall leftover (validation, result move)
+    // so the worker-side stages tile service_us — the same discipline as
+    // JOIN_BATCH's merge stage.
     const double leftover =
         out.service_us - phases.pin_us - phases.descend_us - phases.refine_us;
     trace.Charge(CrossMatchStage::kRefine,
@@ -138,6 +157,32 @@ CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
     service_time_us_->Record(out.service_us);
   }
   return out;
+}
+
+std::shared_ptr<const IntervalView> DatasetCrossMatcher::ViewOf(
+    uint16_t id, const service::ShardedIndex& index, uint64_t epoch) {
+  CachedView* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(views_mu_);
+    slot = &views_[id];
+    if (slot->epoch == epoch) return slot->view;
+  }
+  std::lock_guard<std::mutex> build(slot->build_mu);
+  {
+    // A concurrent first crossmatch of this epoch may have built it while
+    // this one waited for build_mu.
+    std::lock_guard<std::mutex> lock(views_mu_);
+    if (slot->epoch == epoch) return slot->view;
+  }
+  auto view = std::make_shared<const IntervalView>(
+      IntervalView::FromIndex(index));
+  if (view_builds_total_ != nullptr) view_builds_total_->Inc();
+  std::lock_guard<std::mutex> lock(views_mu_);
+  if (epoch > slot->epoch) {  // never regress to a slow worker's epoch
+    slot->epoch = epoch;
+    slot->view = view;
+  }
+  return view;
 }
 
 CrossMatchOutcome DatasetCrossMatcher::Run(const CrossMatchRequest& req) {

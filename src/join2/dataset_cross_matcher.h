@@ -12,6 +12,24 @@
 // produces a typed kDatasetDropped instead of joining a tombstoned
 // dataset's final snapshot).
 //
+// Probe-surface cache: an index's IntervalView (the flattened, coarsened
+// covering the descent walks) is a pure function of one snapshot, so the
+// matcher builds it once per (dataset, epoch) and reuses it until that
+// dataset publishes again. Rules:
+//   * a cached view is used only by a request that pinned the very epoch
+//     it was built from — that request's snapshot keeps the view's
+//     geometry pointers alive; epochs are per-dataset monotone and ids are
+//     never reused, so (id, epoch) names exactly one snapshot;
+//   * the cache holds the view and its epoch, never the snapshot: a
+//     retired epoch's index is freed as soon as its last request ends;
+//   * an entry only moves forward — a request that pinned an older epoch
+//     than the cached one builds a private view and leaves the entry be;
+//   * a self-join pins once and looks up once;
+//   * the view is built lazily by the first crossmatch of an epoch, so
+//     publishing, deltas and point joins do no extra work.
+// Memory: at most one cached view per dataset id ever crossmatched, plus
+// the transient private views of stale-epoch requests.
+//
 // Execution rides the service's machinery end to end: requests run on
 // JoinService workers via TryRunAsync (service backpressure applies),
 // the descent parallelizes on the service's shared pool (or a transient
@@ -24,6 +42,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -99,9 +120,27 @@ class DatasetCrossMatcher {
  private:
   CrossMatchOutcome Execute(const CrossMatchRequest& req,
                             double queue_wait_us);
+  /// The probe surface of dataset `id`'s snapshot `index`, pinned by the
+  /// caller at `epoch`: the cached view on a hit, else a fresh build that
+  /// becomes the cached one unless a newer epoch is already cached.
+  std::shared_ptr<const IntervalView> ViewOf(
+      uint16_t id, const service::ShardedIndex& index, uint64_t epoch);
   void RegisterMetrics();
 
   service::JoinService* service_;
+
+  /// One dataset's cached probe surface. `build_mu` serializes builds so
+  /// concurrent first crossmatches of an epoch build it once; `epoch` and
+  /// `view` are guarded by views_mu_.
+  struct CachedView {
+    std::mutex build_mu;
+    uint64_t epoch = 0;  // 0: empty (published epochs start at 1)
+    std::shared_ptr<const IntervalView> view;
+  };
+  std::mutex views_mu_;
+  /// Keyed by dataset id; nodes are stable, so a CachedView outlives the
+  /// lock that found it.
+  std::unordered_map<uint16_t, CachedView> views_;
 
   // Owned-instrument pointers are stable for the registry's lifetime;
   // null when metrics are disabled.
@@ -113,6 +152,7 @@ class DatasetCrossMatcher {
   util::Counter* pruned_span_pairs_total_ = nullptr;
   util::Gauge* last_depth_ = nullptr;
   util::Histogram* service_time_us_ = nullptr;
+  util::Counter* view_builds_total_ = nullptr;
 };
 
 }  // namespace actjoin::join2

@@ -46,6 +46,7 @@ using join2::CrossMatchOutcome;
 using join2::CrossMatchStatus;
 using join2::DatasetCrossMatcher;
 using service::JoinService;
+using service::ServiceCatalog;
 using service::ServiceOptions;
 using service::ShardedIndex;
 
@@ -410,7 +411,9 @@ TEST(CrossMatchWireServer, TracedCrossMatchStagesTileWallTime) {
   ASSERT_TRUE(client.Connect(fx.server->host(), fx.server->port(), &error))
       << error;
 
-  // An untraced request stays v6-shaped: no trace comes back.
+  // An untraced request stays v6-shaped: no trace comes back. It also
+  // warms the server's per-epoch views, so the traced request below
+  // times a cached pin.
   JoinClient::CrossMatchReply plain =
       client.CrossMatch(fx.id_a, {.dataset_b = fx.id_b});
   ASSERT_TRUE(plain.ok) << plain.message;
@@ -442,6 +445,37 @@ TEST(CrossMatchWireServer, TracedCrossMatchStagesTileWallTime) {
                 reply.trace.at(CrossMatchStage::kPin),
             0.0);
   EXPECT_GT(reply.trace.at(CrossMatchStage::kStream), 0.0);
+}
+
+TEST(CrossMatchWireServer, SameEpochsReuseTheServersCachedViews) {
+  // The server's matcher builds each dataset's probe surface once per
+  // epoch: a second JOIN_DATASETS on unchanged epochs builds nothing, and
+  // its pairs stay byte-identical to the in-process library path (which
+  // builds its own views and touches no counter), in both modes.
+  ServerFixture fx;
+  std::string error;
+  ASSERT_TRUE(fx.Start(&error)) << error;
+  util::Counter* builds =
+      fx.service->metrics()->GetCounter("crossmatch_view_builds_total", "");
+  JoinClient client;
+  ASSERT_TRUE(client.Connect(fx.server->host(), fx.server->port(), &error))
+      << error;
+
+  ServiceCatalog::Snapshot snap_a =
+      fx.service->catalog().Find(fx.id_a)->Acquire();
+  ServiceCatalog::Snapshot snap_b =
+      fx.service->catalog().Find(fx.id_b)->Acquire();
+  for (int round = 0; round < 2; ++round) {
+    for (uint8_t mode : {0, 1}) {
+      const auto want = join2::CrossMatchIndexes(
+          *snap_a, *snap_b, {.mode = static_cast<CrossMatchMode>(mode)});
+      JoinClient::CrossMatchReply reply =
+          client.CrossMatch(fx.id_a, {.dataset_b = fx.id_b, .mode = mode});
+      ASSERT_TRUE(reply.ok) << reply.message;
+      EXPECT_EQ(reply.pairs, want) << "round=" << round << " mode=" << +mode;
+    }
+    EXPECT_EQ(builds->value(), 2u) << "round=" << round;
+  }
 }
 
 TEST(CrossMatchWireServer, StagePerfCountersRideTracedCrossMatches) {

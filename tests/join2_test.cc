@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -446,6 +447,64 @@ TEST(Join2Matcher, MutationsChangeTheJoinedEpoch) {
                                  skip, {}));
 }
 
+TEST(Join2Matcher, ViewBuiltOncePerEpoch) {
+  // The matcher caches each dataset's probe surface per epoch: repeated
+  // crossmatches on fixed epochs build each side once, a self-join builds
+  // its one side once, and a delta rebuilds only the side it touched —
+  // while every result still equals the oracle over the current polygons.
+  TwoDatasetService fx;
+  util::Counter* builds =
+      fx.service->metrics()->GetCounter("crossmatch_view_builds_total", "");
+  DatasetCrossMatcher matcher(fx.service.get());
+  EXPECT_EQ(builds->value(), 0u);  // lazy: construction builds nothing
+  const CrossMatchMode kModes[] = {CrossMatchMode::kIntersects,
+                                   CrossMatchMode::kContains};
+  for (int rep = 0; rep < 3; ++rep) {
+    for (CrossMatchMode mode : kModes) {
+      CrossMatchOutcome out = matcher.Run(
+          {.dataset_a = fx.id_a, .dataset_b = fx.id_b, .mode = mode});
+      ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+      EXPECT_EQ(out.pairs, BruteForceCrossMatch(fx.pa, fx.pb, mode));
+    }
+  }
+  EXPECT_EQ(builds->value(), 2u);
+
+  // A self-join pins one snapshot and looks its view up once (a fresh
+  // matcher, so the a-side view is not already cached).
+  DatasetCrossMatcher self_matcher(fx.service.get());
+  for (int rep = 0; rep < 2; ++rep) {
+    for (CrossMatchMode mode : kModes) {
+      CrossMatchOutcome out = self_matcher.Run(
+          {.dataset_a = fx.id_a, .dataset_b = fx.id_a, .mode = mode});
+      ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+      EXPECT_EQ(out.epoch_a, out.epoch_b);
+      EXPECT_EQ(out.pairs, BruteForceCrossMatch(fx.pa, fx.pa, mode));
+    }
+  }
+  EXPECT_EQ(builds->value(), 3u);
+
+  // The cache holds views, never snapshots: once a delta retires the
+  // b-side epoch, nothing keeps its index alive.
+  std::weak_ptr<const ShardedIndex> retired =
+      fx.service->catalog().Find(fx.id_b)->Acquire();
+  std::vector<geom::Polygon> added = {CenteredSquare(0.07)};
+  ASSERT_EQ(fx.service->AddPolygons(fx.id_b, added).status,
+            service::MutationStatus::kApplied);
+  EXPECT_TRUE(retired.expired());
+  EXPECT_EQ(builds->value(), 3u);  // the delta itself builds no view
+  std::vector<geom::Polygon> pb2 = fx.pb;
+  pb2.push_back(added[0]);
+  for (int rep = 0; rep < 2; ++rep) {
+    for (CrossMatchMode mode : kModes) {
+      CrossMatchOutcome out = matcher.Run(
+          {.dataset_a = fx.id_a, .dataset_b = fx.id_b, .mode = mode});
+      ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+      EXPECT_EQ(out.pairs, BruteForceCrossMatch(fx.pa, pb2, mode));
+    }
+  }
+  EXPECT_EQ(builds->value(), 4u);
+}
+
 // --- Concurrency (runs under TSan in CI) -----------------------------------
 
 TEST(Join2Concurrency, CrossMatchesRaceWithMutations) {
@@ -453,47 +512,100 @@ TEST(Join2Concurrency, CrossMatchesRaceWithMutations) {
   DatasetCrossMatcher matcher(fx.service.get());
   CrossMatchRequest req{.dataset_a = fx.id_a, .dataset_b = fx.id_b};
 
-  // Mutator: grow b, shrink a, concurrently with crossmatches. Every
-  // concurrent result must be internally well-formed (sorted unique) —
-  // each pins one consistent epoch pair.
+  // The mutation sequence is fixed, so the polygon state behind every
+  // epoch is known up front: step k adds square k to b and removes id k
+  // from a, each publishing exactly one epoch on its side.
+  constexpr int kSteps = 6;
+  const uint64_t base_a = fx.service->catalog().Find(fx.id_a)->epoch();
+  const uint64_t base_b = fx.service->catalog().Find(fx.id_b)->epoch();
+  std::vector<std::vector<geom::Polygon>> b_at(kSteps + 1, fx.pb);
+  std::vector<std::vector<uint32_t>> a_skip_at(kSteps + 1);
+  for (int k = 1; k <= kSteps; ++k) {
+    b_at[k] = b_at[k - 1];
+    b_at[k].push_back(
+        CenteredSquare(0.02 + 0.01 * static_cast<double>(k - 1)));
+    a_skip_at[k] = a_skip_at[k - 1];
+    a_skip_at[k].push_back(static_cast<uint32_t>(k - 1));
+  }
+
+  // Joiners record every outcome; each must equal the oracle for the
+  // epoch pair it reports — delta == rebuild, through the view cache,
+  // under racing swaps. The mutator waits for a fresh crossmatch before
+  // each mutation so swaps genuinely interleave with joins.
+  struct Observed {
+    uint64_t epoch_a = 0, epoch_b = 0;
+    Pairs pairs;
+  };
   std::atomic<bool> stop{false};
-  std::atomic<bool> malformed{false};
+  std::atomic<uint64_t> runs{0};
+  std::vector<std::vector<Observed>> observed(3);
   std::vector<std::thread> joiners;
-  for (int t = 0; t < 3; ++t) {
-    joiners.emplace_back([&] {
+  for (size_t t = 0; t < observed.size(); ++t) {
+    joiners.emplace_back([&, t] {
       while (!stop.load(std::memory_order_relaxed)) {
         CrossMatchOutcome out = matcher.Run(req);
-        if (out.status != CrossMatchStatus::kOk) continue;
-        if (!std::is_sorted(out.pairs.begin(), out.pairs.end()) ||
-            std::adjacent_find(out.pairs.begin(), out.pairs.end()) !=
-                out.pairs.end()) {
-          malformed.store(true, std::memory_order_relaxed);
+        if (out.status == CrossMatchStatus::kOk) {
+          observed[t].push_back(
+              {out.epoch_a, out.epoch_b, std::move(out.pairs)});
         }
+        runs.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
-  std::vector<geom::Polygon> pb2 = fx.pb;
-  for (int i = 0; i < 6; ++i) {
-    std::vector<geom::Polygon> add = {
-        CenteredSquare(0.02 + 0.01 * static_cast<double>(i))};
-    ASSERT_EQ(fx.service->AddPolygons(fx.id_b, add).status,
-              service::MutationStatus::kApplied);
-    pb2.push_back(add[0]);
-    ASSERT_EQ(fx.service->RemovePolygons(fx.id_a, {static_cast<uint32_t>(i)})
-                  .status,
-              service::MutationStatus::kApplied);
+  auto await_fresh_run = [&] {
+    const uint64_t seen = runs.load(std::memory_order_relaxed);
+    while (runs.load(std::memory_order_relaxed) == seen) {
+      std::this_thread::yield();
+    }
+  };
+  for (int k = 1; k <= kSteps; ++k) {
+    await_fresh_run();
+    std::vector<geom::Polygon> add = {b_at[k].back()};
+    service::MutationResult grown = fx.service->AddPolygons(fx.id_b, add);
+    ASSERT_EQ(grown.status, service::MutationStatus::kApplied);
+    ASSERT_EQ(grown.epoch, base_b + static_cast<uint64_t>(k));
+    await_fresh_run();
+    service::MutationResult shrunk =
+        fx.service->RemovePolygons(fx.id_a, {a_skip_at[k].back()});
+    ASSERT_EQ(shrunk.status, service::MutationStatus::kApplied);
+    ASSERT_EQ(shrunk.epoch, base_a + static_cast<uint64_t>(k));
   }
+  await_fresh_run();
   stop.store(true);
   for (auto& th : joiners) th.join();
-  EXPECT_FALSE(malformed.load());
+
+  // One oracle per distinct epoch pair, computed on this thread.
+  std::vector<std::vector<std::optional<Pairs>>> oracle(
+      kSteps + 1, std::vector<std::optional<Pairs>>(kSteps + 1));
+  size_t checked = 0;
+  for (const std::vector<Observed>& per_thread : observed) {
+    for (const Observed& obs : per_thread) {
+      ASSERT_GE(obs.epoch_a, base_a);
+      ASSERT_LE(obs.epoch_a, base_a + kSteps);
+      ASSERT_GE(obs.epoch_b, base_b);
+      ASSERT_LE(obs.epoch_b, base_b + kSteps);
+      const size_t ka = obs.epoch_a - base_a;
+      const size_t kb = obs.epoch_b - base_b;
+      std::optional<Pairs>& want = oracle[ka][kb];
+      if (!want.has_value()) {
+        want = BruteForceCrossMatch(fx.pa, b_at[kb],
+                                    CrossMatchMode::kIntersects,
+                                    a_skip_at[ka], {});
+      }
+      EXPECT_EQ(obs.pairs, *want) << "epoch_a=" << obs.epoch_a
+                                  << " epoch_b=" << obs.epoch_b;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, static_cast<size_t>(2 * kSteps));
 
   // Quiesced: the final result matches the oracle over the final state.
-  std::vector<uint32_t> skip = {0, 1, 2, 3, 4, 5};
   CrossMatchOutcome final_out = matcher.Run(req);
   ASSERT_EQ(final_out.status, CrossMatchStatus::kOk);
   EXPECT_EQ(final_out.pairs,
-            BruteForceCrossMatch(fx.pa, pb2, CrossMatchMode::kIntersects,
-                                 skip, {}));
+            BruteForceCrossMatch(fx.pa, b_at[kSteps],
+                                 CrossMatchMode::kIntersects,
+                                 a_skip_at[kSteps], {}));
 }
 
 }  // namespace

@@ -480,6 +480,8 @@ TEST(ServiceRegistry, ReadersHammeredBySwaps) {
   };
   constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
+  // Iterations completed by all readers; the writer paces its swaps on it.
+  std::atomic<uint64_t> shared_iterations{0};
   std::vector<ReaderReport> reports(kReaders);
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -501,14 +503,23 @@ TEST(ServiceRegistry, ReadersHammeredBySwaps) {
             snap->polygons().size() == half_count ? want_half : want_full;
         if (got != want) ++report.wrong_results;
         ++report.iterations;
+        shared_iterations.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
 
+  // Before each swap the writer waits for some reader to finish a join
+  // since the previous one, so swaps interleave with reads instead of
+  // all landing before the first join completes (a yield-only writer
+  // outruns the readers on a slow, e.g. sanitized, build).
   constexpr int kSwaps = 40;
+  uint64_t seen = 0;
   for (int i = 0; i < kSwaps; ++i) {
+    while (shared_iterations.load(std::memory_order_relaxed) == seen) {
+      std::this_thread::yield();
+    }
+    seen = shared_iterations.load(std::memory_order_relaxed);
     registry.Publish(i % 2 == 0 ? full : half);
-    std::this_thread::yield();
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
