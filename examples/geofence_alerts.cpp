@@ -11,9 +11,9 @@
 // The number this example exists to print is alert latency: the time
 // from handing a position report to the socket until the ENTER/LEAVE it
 // caused is delivered to the subscriber's handler, reported as p50 /
-// p99 / p99.9 over the whole run. It closes with the server's own
-// STATS view (standing queries, events pushed, drops) fetched over the
-// same wire.
+// p99 / p99.9 over the whole run. It closes with the server's own stats
+// (standing queries, events pushed, drops), one GET_METRICS report
+// fetched over the same wire.
 //
 //   $ ./examples/geofence_alerts
 //   $ ./examples/geofence_alerts --fleet=50000 --ticks=60
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   }
   service::ServiceStats stats;
   if (subscriber.GetStats(&stats, &error)) {
-    std::printf("\nserver STATS: %llu events pushed, %llu dropped, %llu "
+    std::printf("\nserver stats: %llu events pushed, %llu dropped, %llu "
                 "standing queries remain\n",
                 static_cast<unsigned long long>(stats.events_pushed),
                 static_cast<unsigned long long>(stats.events_dropped),

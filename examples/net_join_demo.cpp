@@ -6,7 +6,8 @@
 // fires requests as fast as the socket allows. Admitted requests report
 // QPS and latency quantiles; over-rate requests come back as typed
 // RATE_LIMITED errors on the same connection — no blocking, no dropped
-// connections, and the reject counters show up in the STATS response.
+// connections, and the reject counters show up in the server's stats
+// (JoinClient::GetStats, mapped from a GET_METRICS report).
 //
 //   $ ./examples/net_join_demo
 //   $ ./examples/net_join_demo --pings=200000 --rate_qps=50 --requests=400
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
               seconds > 0 ? points_served / seconds / 1e6 : 0.0);
   std::printf("  rate limited:  %llu (typed wire error, connection kept)\n",
               static_cast<unsigned long long>(rate_limited));
-  std::printf("server-side stats (STATS request over the wire):\n");
+  std::printf("server-side stats (GET_METRICS over the wire):\n");
   std::printf("  qps %.1f | service p50 %.2f ms p99 %.2f ms | queue-wait "
               "p50 %.2f ms\n",
               stats.qps, stats.service_p50_ms, stats.service_p99_ms,

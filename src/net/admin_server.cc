@@ -227,8 +227,7 @@ std::string AdminServer::RouteReadyz() const {
 }
 
 std::string AdminServer::RouteStatusz() const {
-  const service::ServiceStats stats =
-      server_ != nullptr ? server_->StatsWithAdmission() : service_->Stats();
+  const service::ServiceStats stats = service_->Stats();
   std::string out;
   AppendF(&out, "actjoin statusz\n");
   AppendF(&out, "build: wire v%u, %s, %s\n",
@@ -245,7 +244,8 @@ std::string AdminServer::RouteStatusz() const {
           static_cast<unsigned long long>(stats.completed_requests));
   AppendF(&out, "rejected_requests: %llu\n",
           static_cast<unsigned long long>(stats.rejected_requests));
-  AppendF(&out, "queue_depth: %zu\n", stats.queue_depth);
+  AppendF(&out, "queue_depth: %llu\n",
+          static_cast<unsigned long long>(stats.queue_depth));
   AppendF(&out, "qps: %.1f\n", stats.qps);
   AppendF(&out, "points_per_s: %.0f\n", stats.points_per_s);
   AppendF(&out, "service_ms p50/p99/p999: %.3f / %.3f / %.3f\n",

@@ -21,7 +21,7 @@
 // A rejection is typed (which knob fired) so the wire layer can answer
 // with the matching error code instead of blocking or dropping the
 // connection, and each reason keeps its own counter — globally and per
-// peer — for the STATS request.
+// peer — exported through the metrics registry.
 //
 // The peer key is an opaque string chosen by the caller (the server uses
 // the peer IP, or IP:port under PeerKeyPolicy::kIpPort); "" is a valid key
@@ -68,8 +68,8 @@ struct AdmissionPolicy {
   /// it sheds while TrySubmit would still succeed.
   double queue_watermark = 0;
   /// Cap on tracked peer buckets (clamped to >= 1). At the cap, a new
-  /// peer evicts the longest-idle bucket, so memory and the STATS
-  /// per-peer table stay bounded on a long-running server no matter how
+  /// peer evicts the longest-idle bucket, so memory and the exported
+  /// per-peer series stay bounded on a long-running server no matter how
   /// many distinct peers (or, under PeerKeyPolicy::kIpPort, ephemeral
   /// ports) it has seen. Global counters are unaffected by eviction;
   /// only the evicted peer's *split* is forgotten.
@@ -131,7 +131,7 @@ class AdmissionController {
 
   Counters counters() const;
   /// Per-peer admitted / rate-limited splits, sorted by peer key (the
-  /// STATS overlay). Empty until the first TryAdmit.
+  /// peer_* metric families). Empty until the first TryAdmit.
   std::vector<service::PeerAdmissionStats> PerPeer() const;
   size_t in_flight_bytes() const;
   const AdmissionPolicy& policy() const { return policy_; }

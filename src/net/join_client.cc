@@ -114,19 +114,9 @@ bool JoinClient::Ping(std::string* error) {
 }
 
 bool JoinClient::GetStats(service::ServiceStats* out, std::string* error) {
-  Reply reply;
-  const uint64_t id = core_->NextRequestId();
-  std::vector<uint8_t> payload;
-  if (!Call(EncodeEmptyFrame(MessageType::kStats, id), id,
-            MessageType::kStatsResult, &payload, &reply)) {
-    if (error != nullptr) *error = reply.message;
-    return false;
-  }
-  if (!DecodeServiceStats(payload, out)) {
-    Close();
-    if (error != nullptr) *error = "undecodable stats response";
-    return false;
-  }
+  MetricsReport report;
+  if (!GetMetrics(&report, error)) return false;
+  *out = service::StatsFromSamples(report.samples);
   return true;
 }
 

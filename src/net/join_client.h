@@ -118,6 +118,9 @@ class JoinClient {
   }
 
   bool Ping(std::string* error = nullptr);
+  /// The server's ServiceStats: one binary GET_METRICS report mapped by
+  /// service::StatsFromSamples, the same mapping the server's own Stats()
+  /// uses. All zero against a server whose metrics are disabled.
   bool GetStats(service::ServiceStats* out, std::string* error = nullptr);
   /// Fetches the server's metrics in structured binary form (samples +
   /// event log + slow-query ring). Wire v4; an older server answers with

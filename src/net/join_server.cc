@@ -215,6 +215,11 @@ JoinServer::JoinServer(service::JoinService* service,
   // and mutations notify it of epoch swaps.
   service_->set_subscription_matcher(&subscriptions_);
   if (util::MetricsRegistry* registry = service_->metrics()) {
+    rejects_shutdown_ = registry->GetCounter("requests_rejected_total", "",
+                                             "reason=\"shutdown\"");
+    rejects_unknown_dataset_ = registry->GetCounter(
+        "requests_rejected_total", "", "reason=\"unknown_dataset\"");
+    rejects_mutation_ = registry->GetCounter("mutations_rejected_total");
     registry->RegisterCounterFn(
         "server_connections_accepted_total", "Sockets accepted", "", [this] {
           return connections_accepted_.load(std::memory_order_relaxed);
@@ -384,27 +389,7 @@ void JoinServer::RequestShutdown() {
 }
 
 service::ServiceStats JoinServer::StatsWithAdmission() const {
-  service::ServiceStats out = service_->Stats();
-  AdmissionController::Counters a = admission_.counters();
-  out.rejected_rate_limit = a.rate_limited;
-  out.rejected_inflight_bytes = a.inflight_bytes;
-  out.rejected_queue_watermark = a.queue_watermark;
-  out.rejected_shutdown +=
-      rejected_stopping_.load(std::memory_order_relaxed);
-  out.rejected_unknown_dataset +=
-      rejected_unknown_dataset_.load(std::memory_order_relaxed);
-  out.rejected_requests = out.rejected_queue_full + out.rejected_shutdown +
-                          out.rejected_unknown_dataset + a.TotalRejected();
-  out.peers = admission_.PerPeer();
-  // Continuous-query overlay (v6): the bare service knows none of these.
-  out.active_subscriptions = subscriptions_.active_subscriptions();
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    out.outstanding_requests = inflight_requests_;
-  }
-  out.events_pushed = events_pushed_.load(std::memory_order_relaxed);
-  out.events_dropped = events_dropped_.load(std::memory_order_relaxed);
-  return out;
+  return service_->Stats();
 }
 
 ServerCounters JoinServer::counters() const {
@@ -638,10 +623,6 @@ void JoinServer::DispatchFrame(int t, IoThread& io, Connection& conn,
       QueueResponse(io, conn,
                     EncodeEmptyFrame(MessageType::kPong, header.request_id));
       return;
-    case MessageType::kStats:
-      QueueResponse(io, conn, EncodeStatsResultFrame(header.request_id,
-                                                     StatsWithAdmission()));
-      return;
     case MessageType::kShutdown:
       QueueResponse(io, conn, EncodeEmptyFrame(MessageType::kShutdownAck,
                                                header.request_id));
@@ -649,7 +630,7 @@ void JoinServer::DispatchFrame(int t, IoThread& io, Connection& conn,
       return;
     case MessageType::kListDatasets:
       // Catalog enumeration is a pointer walk + per-dataset epoch reads:
-      // cheap enough to answer from the event loop, like STATS.
+      // cheap enough to answer from the event loop, like PING.
       QueueResponse(io, conn,
                     EncodeDatasetListFrame(header.request_id,
                                            service_->catalog().List()));
@@ -662,7 +643,7 @@ void JoinServer::DispatchFrame(int t, IoThread& io, Connection& conn,
       }
       // Collection walks registered callbacks under the registry mutex —
       // bounded by instrument count, not data size — so it is answered
-      // from the event loop like STATS. A service built with
+      // from the event loop like LIST_DATASETS. A service built with
       // enable_metrics=false answers with an empty exposition rather than
       // an error: scrapers should not have to special-case that config.
       util::MetricsRegistry* registry = service_->metrics();
@@ -738,7 +719,8 @@ bool JoinServer::Admit(IoThread& io, Connection& conn,
     Reject(io, conn, header.request_id, code,
            header.type == MessageType::kJoinDatasets
                ? SideMessage(code, "dataset_a", id)
-               : std::string());
+               : std::string(),
+           IsMutation(header.type));
     return false;
   }
   Admission verdict =
@@ -756,14 +738,17 @@ void JoinServer::RejectAdmitted(IoThread& io, Connection& conn,
 }
 
 void JoinServer::Reject(IoThread& io, Connection& conn, uint64_t request_id,
-                        WireError code, std::string_view message) {
+                        WireError code, std::string_view message,
+                        bool mutation) {
+  util::Counter* reason = nullptr;
   switch (code) {
     case WireError::kShuttingDown:
-      rejected_stopping_.fetch_add(1, std::memory_order_relaxed);
+      reason = rejects_shutdown_;
       break;
     case WireError::kUnknownDataset:
     case WireError::kDatasetDropped:
-      rejected_unknown_dataset_.fetch_add(1, std::memory_order_relaxed);
+      // A refused mutation is not a refused join (see ServiceStats).
+      reason = mutation ? rejects_mutation_ : rejects_unknown_dataset_;
       break;
     case WireError::kMalformedPayload:
     case WireError::kUnknownType:
@@ -772,6 +757,7 @@ void JoinServer::Reject(IoThread& io, Connection& conn, uint64_t request_id,
     default:
       break;
   }
+  if (reason != nullptr) reason->Inc();
   QueueResponse(io, conn, ErrorFrame(request_id, code, message));
 }
 

@@ -22,10 +22,11 @@
 //     closed only for errors that desynchronize the byte stream.
 //
 // PING answers from the event loop directly (a liveness probe must not sit
-// behind joins), STATS serializes JoinService stats with the admission
-// reject counters overlaid, and SHUTDOWN acks and raises a flag the
-// embedding process observes via WaitShutdownRequested() — the server
-// never tears itself down from inside an I/O thread.
+// behind joins), GET_METRICS answers from the service's metrics registry —
+// into which the server registers its own series and counts its door
+// rejects — and SHUTDOWN acks and raises a flag the embedding process
+// observes via WaitShutdownRequested() — the server never tears itself
+// down from inside an I/O thread.
 
 #ifndef ACTJOIN_NET_JOIN_SERVER_H_
 #define ACTJOIN_NET_JOIN_SERVER_H_
@@ -128,8 +129,9 @@ class JoinServer {
   void WaitShutdownRequested();
   void RequestShutdown();
 
-  /// Service stats with the admission-control reject counters overlaid
-  /// (the payload of a STATS response).
+  /// The service's Stats(), which include this server's admission, door
+  /// reject and push series (it registers them into the service's
+  /// registry).
   service::ServiceStats StatsWithAdmission() const;
 
   AdmissionController::Counters admission_counters() const {
@@ -166,9 +168,11 @@ class JoinServer {
                       size_t bytes, WireError code,
                       std::string_view message = {});
   /// Queues a typed error (the message defaults to the code's name) and
-  /// bumps the counter that code belongs to.
+  /// bumps the counter that code belongs to; a dataset reject of a
+  /// `mutation` counts as a refused mutation, not a refused request.
   void Reject(IoThread& io, Connection& conn, uint64_t request_id,
-              WireError code, std::string_view message = {});
+              WireError code, std::string_view message = {},
+              bool mutation = false);
   /// The authoritative drain check, then ++inflight. False (and rejected
   /// kShuttingDown) once Stop() has begun.
   bool StartWork(IoThread& io, Connection& conn, uint64_t request_id,
@@ -284,14 +288,15 @@ class JoinServer {
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
 
-  /// Net-level kShuttingDown rejections (server stopping; the service's
-  /// own counter only sees submits that reached its closed queue).
-  std::atomic<uint64_t> rejected_stopping_{0};
-  /// Admitted-opcode frames naming a dataset the catalog cannot serve,
-  /// rejected at the event loop — the service never sees them (the
-  /// header's id at the door, before admission; JOIN_DATASETS's b-side
-  /// after decode).
-  std::atomic<uint64_t> rejected_unknown_dataset_{0};
+  /// Rejects the service never sees, counted into the service's own
+  /// registry series (null when metrics are disabled): kShuttingDown once
+  /// the server is stopping, and frames naming a dataset the catalog
+  /// cannot serve (the header's id at the door, before admission;
+  /// JOIN_DATASETS's b-side after decode) — under requests_rejected_total,
+  /// or mutations_rejected_total for a mutation.
+  util::Counter* rejects_shutdown_ = nullptr;
+  util::Counter* rejects_unknown_dataset_ = nullptr;
+  util::Counter* rejects_mutation_ = nullptr;
 
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> connections_closed_{0};

@@ -301,127 +301,6 @@ bool DecodeJoinResult(std::span<const uint8_t> payload,
   return r.ok() && r.AtEnd();
 }
 
-// ServiceStats payload: the struct's fields in declaration order, then the
-// per-peer admission table (u32 count, per peer: length-prefixed key, u64
-// admitted, u64 rate_limited), then (v4) f64 queue_wait_p999_ms, f64
-// service_p999_ms and the per-dataset split table (u32 count, per split:
-// u16 id, u16 flags (bit 0: dropped), u64 epoch, u64 points_served, u64
-// completed, length-prefixed name).
-void AppendServiceStats(const service::ServiceStats& stats,
-                        util::ByteWriter* w) {
-  w->PutU64(stats.completed_requests);
-  w->PutU64(stats.rejected_requests);
-  w->PutU64(stats.rejected_queue_full);
-  w->PutU64(stats.rejected_shutdown);
-  w->PutU64(stats.rejected_unknown_dataset);
-  w->PutU64(stats.rejected_rate_limit);
-  w->PutU64(stats.rejected_inflight_bytes);
-  w->PutU64(stats.rejected_queue_watermark);
-  w->PutU64(stats.cache_hits);
-  w->PutU64(stats.cache_misses);
-  w->PutU64(stats.points_served);
-  w->PutF64(stats.uptime_s);
-  w->PutF64(stats.qps);
-  w->PutF64(stats.points_per_s);
-  w->PutF64(stats.queue_wait_p50_ms);
-  w->PutF64(stats.queue_wait_p99_ms);
-  w->PutF64(stats.service_p50_ms);
-  w->PutF64(stats.service_p99_ms);
-  w->PutU64(stats.queue_depth);
-  w->PutU64(stats.epoch);
-  w->PutU64(stats.num_datasets);
-  w->PutU64(stats.mutations_applied);
-  w->PutU64(stats.rejected_mutations);
-  w->PutU32(static_cast<uint32_t>(stats.peers.size()));
-  for (const service::PeerAdmissionStats& peer : stats.peers) {
-    w->PutString(peer.peer);
-    w->PutU64(peer.admitted);
-    w->PutU64(peer.rate_limited);
-  }
-  w->PutF64(stats.queue_wait_p999_ms);
-  w->PutF64(stats.service_p999_ms);
-  w->PutU32(static_cast<uint32_t>(stats.dataset_splits.size()));
-  for (const service::DatasetSplit& split : stats.dataset_splits) {
-    w->PutU16(split.id);
-    w->PutU16(split.dropped ? 1 : 0);
-    w->PutU64(split.epoch);
-    w->PutU64(split.points_served);
-    w->PutU64(split.completed_requests);
-    w->PutString(split.name);
-  }
-  // v6 continuous-query figures, appended at the tail like the v4 block.
-  w->PutU64(stats.active_subscriptions);
-  w->PutU64(stats.outstanding_requests);
-  w->PutU64(stats.events_pushed);
-  w->PutU64(stats.events_dropped);
-}
-
-bool DecodeServiceStats(std::span<const uint8_t> payload,
-                        service::ServiceStats* out) {
-  util::ByteReader r(payload);
-  out->completed_requests = r.U64();
-  out->rejected_requests = r.U64();
-  out->rejected_queue_full = r.U64();
-  out->rejected_shutdown = r.U64();
-  out->rejected_unknown_dataset = r.U64();
-  out->rejected_rate_limit = r.U64();
-  out->rejected_inflight_bytes = r.U64();
-  out->rejected_queue_watermark = r.U64();
-  out->cache_hits = r.U64();
-  out->cache_misses = r.U64();
-  out->points_served = r.U64();
-  out->uptime_s = r.F64();
-  out->qps = r.F64();
-  out->points_per_s = r.F64();
-  out->queue_wait_p50_ms = r.F64();
-  out->queue_wait_p99_ms = r.F64();
-  out->service_p50_ms = r.F64();
-  out->service_p99_ms = r.F64();
-  out->queue_depth = static_cast<size_t>(r.U64());
-  out->epoch = r.U64();
-  out->num_datasets = r.U64();
-  out->mutations_applied = r.U64();
-  out->rejected_mutations = r.U64();
-  uint32_t num_peers = r.U32();
-  // A peer entry costs >= 20 payload bytes; bounding by what actually
-  // arrived keeps a forged count from reserving attacker-sized buffers.
-  if (!r.ok() || num_peers > r.remaining() / 20 + 1) return false;
-  out->peers.clear();
-  out->peers.reserve(num_peers);
-  for (uint32_t i = 0; i < num_peers; ++i) {
-    service::PeerAdmissionStats peer;
-    peer.peer = r.String();
-    peer.admitted = r.U64();
-    peer.rate_limited = r.U64();
-    if (!r.ok()) return false;
-    out->peers.push_back(std::move(peer));
-  }
-  out->queue_wait_p999_ms = r.F64();
-  out->service_p999_ms = r.F64();
-  uint32_t num_splits = r.U32();
-  // A split entry costs >= 32 payload bytes (forged-count bound, as above).
-  if (!r.ok() || num_splits > r.remaining() / 32 + 1) return false;
-  out->dataset_splits.clear();
-  out->dataset_splits.reserve(num_splits);
-  for (uint32_t i = 0; i < num_splits; ++i) {
-    service::DatasetSplit split;
-    split.id = r.U16();
-    uint16_t flags = r.U16();
-    split.epoch = r.U64();
-    split.points_served = r.U64();
-    split.completed_requests = r.U64();
-    split.name = r.String();
-    if (!r.ok() || flags > 1) return false;
-    split.dropped = (flags & 1) != 0;
-    out->dataset_splits.push_back(std::move(split));
-  }
-  out->active_subscriptions = r.U64();
-  out->outstanding_requests = r.U64();
-  out->events_pushed = r.U64();
-  out->events_dropped = r.U64();
-  return r.AtEnd();
-}
-
 // DatasetInfo payload: u32 count, per dataset: u16 id, u16 flags (bit 0:
 // dropped; was reserved in v2), u32 num_shards, u64 epoch, u64
 // num_polygons, length-prefixed name.
@@ -767,27 +646,7 @@ bool DecodeEventGap(std::span<const uint8_t> payload, EventGap* out) {
 MetricsReport BuildMetricsReport(const util::MetricsRegistry& registry,
                                  const service::SlowQueryLog* slow_queries) {
   MetricsReport report;
-  for (const util::CollectedMetric& m : registry.Collect()) {
-    const uint8_t kind = static_cast<uint8_t>(m.kind);
-    for (const util::MetricSeries& s : m.series) {
-      if (m.kind == util::MetricKind::kHistogram) {
-        const util::LatencyHistogram& h = s.hist;
-        report.samples.push_back(
-            {m.name + "_count", s.labels, kind,
-             static_cast<double>(h.count())});
-        report.samples.push_back(
-            {m.name + "_sum", s.labels, kind, h.sum_micros() / 1e6});
-        report.samples.push_back(
-            {m.name + "_p50", s.labels, kind, h.P50Micros() / 1e6});
-        report.samples.push_back(
-            {m.name + "_p99", s.labels, kind, h.P99Micros() / 1e6});
-        report.samples.push_back(
-            {m.name + "_p999", s.labels, kind, h.P999Micros() / 1e6});
-      } else {
-        report.samples.push_back({m.name, s.labels, kind, s.value});
-      }
-    }
-  }
+  report.samples = util::FlattenSamples(registry.Collect());
   report.events = registry.events().Snapshot();
   if (slow_queries != nullptr) report.slow_queries = slow_queries->TopK();
   return report;
@@ -802,7 +661,7 @@ MetricsReport BuildMetricsReport(const util::MetricsRegistry& registry,
 //     u64 num_points, u64 epoch, f64 queue_wait_us, f64 service_us.
 void AppendMetricsReport(const MetricsReport& report, util::ByteWriter* w) {
   w->PutU32(static_cast<uint32_t>(report.samples.size()));
-  for (const MetricSample& s : report.samples) {
+  for (const util::MetricSample& s : report.samples) {
     w->PutString(s.name);
     w->PutString(s.labels);
     w->PutU8(s.kind);
@@ -839,7 +698,7 @@ bool DecodeMetricsReport(std::span<const uint8_t> payload,
   out->samples.clear();
   out->samples.reserve(num_samples);
   for (uint32_t i = 0; i < num_samples; ++i) {
-    MetricSample s;
+    util::MetricSample s;
     s.name = r.String();
     s.labels = r.String();
     s.kind = r.U8();
@@ -936,14 +795,6 @@ std::vector<uint8_t> EncodeJoinResultFrame(uint64_t request_id,
   util::ByteWriter w(kFrameHeaderBytes + 96 + result.stats.counts.size() * 8);
   BeginFrame(&w, MessageType::kJoinResult, request_id);
   AppendJoinResult(result, &w);
-  return FinishFrame(std::move(w));
-}
-
-std::vector<uint8_t> EncodeStatsResultFrame(
-    uint64_t request_id, const service::ServiceStats& stats) {
-  util::ByteWriter w(kFrameHeaderBytes + 200 + stats.peers.size() * 48);
-  BeginFrame(&w, MessageType::kStatsResult, request_id);
-  AppendServiceStats(stats, &w);
   return FinishFrame(std::move(w));
 }
 

@@ -16,13 +16,14 @@
 //
 // All integers are little-endian; doubles travel as their IEEE-754 bit
 // pattern (util::ByteWriter / ByteReader). Requests are JOIN_BATCH,
-// JOIN_DATASETS, PING, STATS, LIST_DATASETS, SHUTDOWN, and the mutation
-// trio ADD_POLYGONS / REMOVE_POLYGONS / DROP_DATASET; every request gets
-// exactly one response — the matching success type or ERROR with a typed
-// WireError code — except JOIN_DATASETS, whose success answer is a
-// *sequence* of PAIR_RESULT chunks (result size is O(pairs), so the
-// response streams; the last chunk is flagged). A failed JOIN_DATASETS
-// still gets exactly one ERROR frame and no chunks.
+// JOIN_DATASETS, PING, GET_METRICS, LIST_DATASETS, SHUTDOWN, SUBSCRIBE /
+// UNSUBSCRIBE, and the mutation trio ADD_POLYGONS / REMOVE_POLYGONS /
+// DROP_DATASET; every request gets exactly one response — the matching
+// success type or ERROR with a typed WireError code — except
+// JOIN_DATASETS, whose success answer is a *sequence* of PAIR_RESULT
+// chunks (result size is O(pairs), so the response streams; the last
+// chunk is flagged). A failed JOIN_DATASETS still gets exactly one ERROR
+// frame and no chunks.
 // Admission rejections, UNKNOWN_DATASET, DATASET_DROPPED, and
 // INVALID_MUTATION are ordinary ERROR responses: the server never blocks
 // and never drops the connection for them. Framing errors (bad magic, bad
@@ -74,6 +75,10 @@
 // stage patched at delivery via PatchLastStage; PAIR_RESULT gains the
 // counters flag (bit 2, traced last chunk only). JOIN_RESULT bytes and
 // counter-less streams are byte-identical to v7 behind the version byte.
+// v9 retires STATS / STATS_RESULT (types 3 and 67; a v9 server answers
+// type 3 with UNKNOWN_TYPE): GET_METRICS is the one structured exit, and
+// clients map its binary samples to service::ServiceStats themselves
+// (service::StatsFromSamples). No other payload changed.
 
 #ifndef ACTJOIN_NET_WIRE_H_
 #define ACTJOIN_NET_WIRE_H_
@@ -86,7 +91,6 @@
 
 #include "geometry/polygon.h"
 #include "service/join_service.h"
-#include "service/service_stats.h"
 #include "service/slow_query_log.h"
 #include "service/subscription_matcher.h"
 #include "util/byte_io.h"
@@ -96,7 +100,7 @@
 namespace actjoin::net {
 
 inline constexpr uint32_t kWireMagic = 0x4A544341;  // "ACTJ"
-inline constexpr uint8_t kWireVersion = 8;
+inline constexpr uint8_t kWireVersion = 9;
 inline constexpr size_t kFrameHeaderBytes = 24;
 /// Default cap on one frame (header + payload); a JOIN_BATCH point costs
 /// 24 payload bytes, so this admits ~2.7 M points per batch.
@@ -106,7 +110,7 @@ enum class MessageType : uint8_t {
   // Requests.
   kJoinBatch = 1,       // QueryBatch payload -> kJoinResult
   kPing = 2,            // empty payload      -> kPong
-  kStats = 3,           // empty payload      -> kStatsResult
+  // 3 was STATS (retired in v9: GET_METRICS is the one structured exit).
   kShutdown = 4,        // empty payload      -> kShutdownAck (+ server flag)
   kListDatasets = 5,    // empty payload      -> kDatasetList
   // Live mutations (v3). All carry the target in the header's dataset_id
@@ -126,7 +130,7 @@ enum class MessageType : uint8_t {
   // Responses.
   kJoinResult = 65,
   kPong = 66,
-  kStatsResult = 67,
+  // 67 was STATS_RESULT (retired in v9).
   kShutdownAck = 68,
   kDatasetList = 69,
   kMutateResult = 70,
@@ -233,11 +237,6 @@ bool DecodeQueryBatch(std::span<const uint8_t> payload,
 void AppendJoinResult(const service::JoinResult& result, util::ByteWriter* w);
 bool DecodeJoinResult(std::span<const uint8_t> payload,
                       service::JoinResult* out);
-
-void AppendServiceStats(const service::ServiceStats& stats,
-                        util::ByteWriter* w);
-bool DecodeServiceStats(std::span<const uint8_t> payload,
-                        service::ServiceStats* out);
 
 void AppendDatasetList(const std::vector<service::DatasetInfo>& datasets,
                        util::ByteWriter* w);
@@ -400,25 +399,11 @@ struct EventGap {
 void AppendEventGap(const EventGap& gap, util::ByteWriter* w);
 bool DecodeEventGap(std::span<const uint8_t> payload, EventGap* out);
 
-/// One flattened sample of the binary metrics form. Histograms are
-/// flattened into five samples sharing the family's kind byte —
-/// `<name>_count`, `<name>_sum`, `<name>_p50`, `<name>_p99`,
-/// `<name>_p999` — with the time-valued ones in seconds, matching the
-/// text exposition.
-struct MetricSample {
-  std::string name;    // without the actjoin_ exposition prefix
-  std::string labels;  // rendered inner label list ("" for none)
-  uint8_t kind = 0;    // util::MetricKind of the source family
-  double value = 0;
-
-  friend bool operator==(const MetricSample&, const MetricSample&) = default;
-};
-
 /// METRICS_RESULT's structured binary form: the whole registry flattened,
 /// plus the event ring and the slow-query dump (which the text form omits
 /// — Prometheus has no exposition for either).
 struct MetricsReport {
-  std::vector<MetricSample> samples;
+  std::vector<util::MetricSample> samples;
   std::vector<util::MetricEvent> events;
   std::vector<service::SlowQuery> slow_queries;
 };
@@ -446,8 +431,6 @@ std::vector<uint8_t> EncodeJoinBatchFrame(uint64_t request_id,
                                           const service::QueryBatch& batch);
 std::vector<uint8_t> EncodeJoinResultFrame(uint64_t request_id,
                                            const service::JoinResult& result);
-std::vector<uint8_t> EncodeStatsResultFrame(
-    uint64_t request_id, const service::ServiceStats& stats);
 std::vector<uint8_t> EncodeDatasetListFrame(
     uint64_t request_id, const std::vector<service::DatasetInfo>& datasets);
 std::vector<uint8_t> EncodeAddPolygonsFrame(
@@ -493,7 +476,7 @@ void PatchLastStage(std::vector<uint8_t>* frame, double us,
                     const util::StageCounterSample* counters = nullptr);
 std::vector<uint8_t> EncodeErrorFrame(uint64_t request_id, WireError code,
                                       std::string_view message);
-/// PING / PONG / STATS / SHUTDOWN / SHUTDOWN_ACK carry no payload.
+/// PING / PONG / SHUTDOWN / SHUTDOWN_ACK carry no payload.
 std::vector<uint8_t> EncodeEmptyFrame(MessageType type, uint64_t request_id);
 
 }  // namespace actjoin::net

@@ -511,30 +511,9 @@ void JoinService::Shutdown() {
 }
 
 ServiceStats JoinService::Stats() const {
-  ServiceStats out = stats_.Snapshot(queue_.size(), epoch());
-  out.num_datasets = catalog_.size();
-  if (cell_cache_ != nullptr) {
-    out.cache_hits = cell_cache_->hits();
-    out.cache_misses = cell_cache_->misses();
-  }
-  // Per-dataset splits: identity from the catalog, traffic from the
-  // service's counter slots (zero for a dataset never served).
-  const size_t counters =
-      dataset_counters_size_.load(std::memory_order_acquire);
-  for (const DatasetInfo& info : catalog_.List()) {
-    DatasetSplit split;
-    split.id = info.id;
-    split.dropped = info.dropped;
-    split.epoch = info.epoch;
-    split.name = info.name;
-    if (info.id < counters) {
-      const DatasetCounters& c = *dataset_counters_[info.id];
-      split.points_served = c.points_served.load(std::memory_order_relaxed);
-      split.completed_requests = c.completed.load(std::memory_order_relaxed);
-    }
-    out.dataset_splits.push_back(std::move(split));
-  }
-  return out;
+  std::vector<util::MetricSample> samples;
+  if (metrics_ != nullptr) samples = util::FlattenSamples(metrics_->Collect());
+  return StatsFromSamples(samples);
 }
 
 void JoinService::WorkerLoop(int worker_id) {

@@ -91,10 +91,12 @@ struct ServiceOptions {
   int cell_cache_shards = 8;
   /// Own a util::MetricsRegistry and register every subsystem's counters,
   /// latency histograms, per-dataset splits, slow-query log, and event log
-  /// into it (exported over the wire via GET_METRICS). Instruments are
-  /// collection-time callbacks over state the hot path already maintains,
-  /// so the recording cost is two relaxed counter adds per request — the
-  /// bench smoke gates the end-to-end overhead at < 5%.
+  /// into it — the one source of every exported number (GET_METRICS,
+  /// /metrics, /statusz, Stats()). Instruments are collection-time
+  /// callbacks over state the hot path already maintains, so the recording
+  /// cost is two relaxed counter adds per request — the bench smoke gates
+  /// the end-to-end overhead at < 5%. Off: no registry, so those exits
+  /// are all empty.
   bool enable_metrics = true;
   /// Capacity of the slow-query log (top-K completed requests by service
   /// time, always on) and of the structured event ring.
@@ -213,7 +215,7 @@ class JoinService {
 
   /// Non-blocking submit with a typed verdict: on kAccepted, `*result` (if
   /// non-null) receives the future; on rejection no future is produced and
-  /// the reason is counted per-split in ServiceStats. Never blocks — the
+  /// the reason is counted in requests_rejected_total. Never blocks — the
   /// contract the event-driven network front-end depends on.
   SubmitStatus TrySubmit(QueryBatch batch, std::future<JoinResult>* result);
 
@@ -308,6 +310,9 @@ class JoinService {
   /// the workers. Idempotent; called by the destructor.
   void Shutdown();
 
+  /// The registry's samples mapped by StatsFromSamples: every series the
+  /// registry holds, including a JoinServer's once one is attached. Empty
+  /// when ServiceOptions enable_metrics is false (there is no registry).
   ServiceStats Stats() const;
 
   /// The service's metrics registry (null when ServiceOptions

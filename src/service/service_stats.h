@@ -1,14 +1,18 @@
 // Per-service observability: queue depth, QPS, latency quantiles.
 //
 // Workers record into worker-local slots (one mutex per worker, so
-// recording never contends across workers); Snapshot() merges all slots
-// into one consistent read. Latencies use util::LatencyHistogram, so p50 /
-// p99 are bucket-accurate (~4.4%) at O(1) record cost.
+// recording never contends across workers); the recorder exports them into
+// the service's util::MetricsRegistry. Latencies use util::LatencyHistogram,
+// so p50 / p99 are bucket-accurate (~4.4%) at O(1) record cost.
+//
+// The registry is the one source of every exported number: ServiceStats is
+// not recorded anywhere, it is mapped from registry samples by
+// StatsFromSamples — in process (JoinService::Stats, /statusz) and on the
+// client side of a binary GET_METRICS (JoinClient::GetStats) alike.
 
 #ifndef ACTJOIN_SERVICE_SERVICE_STATS_H_
 #define ACTJOIN_SERVICE_SERVICE_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -23,8 +27,8 @@ namespace actjoin::service {
 
 /// Per-peer admission figures (net layer): the token bucket is sharded by
 /// peer address, so one greedy client's rejections are attributable to
-/// that client — and visible in a STATS response — instead of dissolving
-/// into a global counter while it starves everyone else.
+/// that client — and visible in the peer_* metric families — instead of
+/// dissolving into a global counter while it starves everyone else.
 struct PeerAdmissionStats {
   std::string peer;
   uint64_t admitted = 0;
@@ -34,11 +38,9 @@ struct PeerAdmissionStats {
                          const PeerAdmissionStats&) = default;
 };
 
-/// Per-dataset serving figures. The catalog owns identity (id, name,
-/// epoch); the service owns the traffic counters.
+/// Per-dataset serving figures, keyed by dataset name. Ids and tombstones
+/// are catalog identity: LIST_DATASETS / ServiceCatalog::List carry them.
 struct DatasetSplit {
-  uint16_t id = 0;
-  bool dropped = false;
   uint64_t epoch = 0;
   uint64_t points_served = 0;
   uint64_t completed_requests = 0;
@@ -47,22 +49,25 @@ struct DatasetSplit {
   friend bool operator==(const DatasetSplit&, const DatasetSplit&) = default;
 };
 
-/// One consistent snapshot of a JoinService's counters.
+/// A JoinService's figures as read from its metrics registry: the service
+/// series, plus — once a net::JoinServer has registered into the same
+/// registry — the front-end's admission, door-reject and push series.
 struct ServiceStats {
   uint64_t completed_requests = 0;
-  /// Requests refused at the door (all reasons summed): the service-level
-  /// splits below, plus — in a net::JoinServer STATS response — the
-  /// admission-control splits.
+  /// Requests refused before any work ran, all reasons summed: the three
+  /// requests_rejected_total splits plus the three admission splits.
+  /// Refused mutations are not in it.
   uint64_t rejected_requests = 0;
   /// TrySubmit with the queue at capacity.
   uint64_t rejected_queue_full = 0;
-  /// TrySubmit or Submit after Shutdown (Submit also fails its future).
+  /// Refused because the service or the front-end is shutting down.
   uint64_t rejected_shutdown = 0;
-  /// Submits naming a dataset id the catalog has never assigned.
+  /// Joins, crossmatches and subscriptions naming a dataset that is not
+  /// servable (never assigned, offline, or dropped), refused at the
+  /// service door or the front-end door.
   uint64_t rejected_unknown_dataset = 0;
-  /// Net-layer admission rejects, one counter per AdmissionPolicy knob.
-  /// Always zero on a bare JoinService: net::JoinServer overlays them (and
-  /// adds them into rejected_requests) when composing a STATS response.
+  /// Net-layer admission rejects, one counter per AdmissionPolicy knob
+  /// (zero without a JoinServer).
   uint64_t rejected_rate_limit = 0;
   uint64_t rejected_inflight_bytes = 0;
   uint64_t rejected_queue_watermark = 0;
@@ -72,8 +77,9 @@ struct ServiceStats {
   uint64_t cache_misses = 0;
   /// Live mutations (ADD_POLYGONS / REMOVE_POLYGONS / DROP_DATASET)
   /// published as new epochs, and mutations refused with a typed error
-  /// (unknown dataset, dropped dataset, invalid payload). Not part of
-  /// rejected_requests: a refused mutation is not a refused join.
+  /// (unknown dataset, dropped dataset, invalid payload) by the service or
+  /// at the front-end door. Not part of rejected_requests: a refused
+  /// mutation is not a refused join.
   uint64_t mutations_applied = 0;
   uint64_t rejected_mutations = 0;
   uint64_t points_served = 0;
@@ -86,25 +92,29 @@ struct ServiceStats {
   double service_p50_ms = 0;        // join execution only
   double service_p99_ms = 0;
   double service_p999_ms = 0;
-  size_t queue_depth = 0;
+  uint64_t queue_depth = 0;
   uint64_t epoch = 0;      // snapshot epoch of dataset 0 (compat metric)
   uint64_t num_datasets = 0;
-  /// Continuous-query figures (v6). Always zero on a bare JoinService:
-  /// net::JoinServer overlays them when composing a STATS response —
-  /// standing subscriptions, requests admitted but not yet answered, and
-  /// the push-channel delivery counters (events enqueued to connection
+  /// Continuous-query figures (zero without a JoinServer): standing
+  /// subscriptions, requests admitted but not yet answered, and the
+  /// push-channel delivery counters (events enqueued to connection
   /// outboxes / events discarded by the bounded-outbox overflow policy).
   uint64_t active_subscriptions = 0;
   uint64_t outstanding_requests = 0;
   uint64_t events_pushed = 0;
   uint64_t events_dropped = 0;
-  /// Per-peer admission splits (net::JoinServer overlays these, sorted by
-  /// peer key; empty on a bare JoinService).
+  /// Per-peer admission splits, sorted by peer key (empty without a
+  /// JoinServer).
   std::vector<PeerAdmissionStats> peers;
   /// Per-dataset epoch + traffic splits, in catalog id order. Fixes the
   /// dataset-0-only `epoch` field above: every dataset's epoch is here.
   std::vector<DatasetSplit> dataset_splits;
 };
+
+/// The one mapping from registry samples to ServiceStats. Series with the
+/// same name and labels are summed (two front-ends sharing one service
+/// each register theirs); samples it does not know are ignored.
+ServiceStats StatsFromSamples(const std::vector<util::MetricSample>& samples);
 
 class ServiceStatsRecorder {
  public:
@@ -123,114 +133,32 @@ class ServiceStatsRecorder {
     ++slot.completed;
   }
 
-  void RecordRejectedQueueFull() {
-    rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // The reject and mutation counters are the registry's own series (null
+  // while metrics are disabled), so the net front-end counts its door
+  // rejects into the very same ones.
+  void RecordRejectedQueueFull() { Inc(rejected_queue_full_); }
+  void RecordRejectedShutdown() { Inc(rejected_shutdown_); }
+  void RecordRejectedUnknownDataset() { Inc(rejected_unknown_dataset_); }
+  void RecordMutationApplied() { Inc(mutations_applied_); }
+  void RecordRejectedMutation() { Inc(rejected_mutations_); }
 
-  void RecordRejectedShutdown() {
-    rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void RecordRejectedUnknownDataset() {
-    rejected_unknown_dataset_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void RecordMutationApplied() {
-    mutations_applied_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void RecordRejectedMutation() {
-    rejected_mutations_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Merges all worker slots; `queue_depth` and `epoch` are provided by
-  /// the service (they live outside the recorder).
-  ServiceStats Snapshot(size_t queue_depth, uint64_t epoch) const {
-    util::LatencyHistogram queue_wait, service;
-    ServiceStats out;
-    // Copy each slot under its lock (a trivially-copyable array copy),
-    // merge outside: the O(kNumBuckets) Merge never runs while a worker
-    // is blocked on RecordServed.
-    util::LatencyHistogram scratch;
-    for (const auto& slot : slots_) {
-      uint64_t points, completed;
-      {
-        std::lock_guard<std::mutex> lock(slot->mu);
-        scratch = slot->queue_wait;
-        points = slot->points;
-        completed = slot->completed;
-      }
-      queue_wait.Merge(scratch);
-      {
-        std::lock_guard<std::mutex> lock(slot->mu);
-        scratch = slot->service;
-      }
-      service.Merge(scratch);
-      out.points_served += points;
-      out.completed_requests += completed;
-    }
-    out.rejected_queue_full =
-        rejected_queue_full_.load(std::memory_order_relaxed);
-    out.rejected_shutdown = rejected_shutdown_.load(std::memory_order_relaxed);
-    out.rejected_unknown_dataset =
-        rejected_unknown_dataset_.load(std::memory_order_relaxed);
-    out.rejected_requests = out.rejected_queue_full + out.rejected_shutdown +
-                            out.rejected_unknown_dataset;
-    out.mutations_applied = mutations_applied_.load(std::memory_order_relaxed);
-    out.rejected_mutations =
-        rejected_mutations_.load(std::memory_order_relaxed);
-    out.uptime_s = uptime_.ElapsedSeconds();
-    if (out.uptime_s > 0) {
-      out.qps = static_cast<double>(out.completed_requests) / out.uptime_s;
-      out.points_per_s = static_cast<double>(out.points_served) / out.uptime_s;
-    }
-    out.queue_wait_p50_ms = queue_wait.P50Micros() / 1e3;
-    out.queue_wait_p99_ms = queue_wait.P99Micros() / 1e3;
-    out.queue_wait_p999_ms = queue_wait.P999Micros() / 1e3;
-    out.service_p50_ms = service.P50Micros() / 1e3;
-    out.service_p99_ms = service.P99Micros() / 1e3;
-    out.service_p999_ms = service.P999Micros() / 1e3;
-    out.queue_depth = queue_depth;
-    out.epoch = epoch;
-    return out;
-  }
-
-  /// Merged copy of one latency histogram across all worker slots (same
-  /// copy-then-merge discipline as Snapshot). For the metrics exporter.
-  util::LatencyHistogram MergedQueueWait() const {
-    return MergedHistogram(/*service=*/false);
-  }
-  util::LatencyHistogram MergedService() const {
-    return MergedHistogram(/*service=*/true);
-  }
-
-  /// Registers the recorder's counters and histograms into `registry` as
-  /// collection-time callbacks — recording stays on the worker-slot path,
-  /// untouched. The recorder must outlive the registry's collections.
-  void RegisterMetrics(util::MetricsRegistry* registry) const {
-    registry->RegisterCounterFn(
-        "requests_rejected_total", "Requests refused at the service door",
-        "reason=\"queue_full\"", [this] {
-          return rejected_queue_full_.load(std::memory_order_relaxed);
-        });
-    registry->RegisterCounterFn(
-        "requests_rejected_total", "", "reason=\"shutdown\"", [this] {
-          return rejected_shutdown_.load(std::memory_order_relaxed);
-        });
-    registry->RegisterCounterFn(
-        "requests_rejected_total", "", "reason=\"unknown_dataset\"", [this] {
-          return rejected_unknown_dataset_.load(std::memory_order_relaxed);
-        });
-    registry->RegisterCounterFn(
-        "mutations_applied_total", "Live mutations published as new epochs",
-        "", [this] {
-          return mutations_applied_.load(std::memory_order_relaxed);
-        });
-    registry->RegisterCounterFn(
-        "mutations_rejected_total", "Mutations refused with a typed error",
-        "", [this] {
-          return rejected_mutations_.load(std::memory_order_relaxed);
-        });
+  /// Binds the reject and mutation counters to `registry`'s series and
+  /// registers the worker-slot figures as collection-time callbacks —
+  /// recording stays on the worker-slot path, untouched. Call once, before
+  /// any Record*; the recorder must outlive the registry's collections.
+  void RegisterMetrics(util::MetricsRegistry* registry) {
+    rejected_queue_full_ = registry->GetCounter(
+        "requests_rejected_total",
+        "Requests refused before any work ran, by reason",
+        "reason=\"queue_full\"");
+    rejected_shutdown_ = registry->GetCounter("requests_rejected_total", "",
+                                              "reason=\"shutdown\"");
+    rejected_unknown_dataset_ = registry->GetCounter(
+        "requests_rejected_total", "", "reason=\"unknown_dataset\"");
+    mutations_applied_ = registry->GetCounter(
+        "mutations_applied_total", "Live mutations published as new epochs");
+    rejected_mutations_ = registry->GetCounter(
+        "mutations_rejected_total", "Mutations refused with a typed error");
     registry->RegisterCounterFn(
         "requests_completed_total", "Join requests completed", "", [this] {
           uint64_t total = 0;
@@ -254,13 +182,17 @@ class ServiceStatsRecorder {
                               [this] { return uptime_.ElapsedSeconds(); });
     registry->RegisterHistogramFn(
         "queue_wait_seconds", "Bounded-queue wait before a worker picks up",
-        "", [this] { return MergedQueueWait(); });
+        "", [this] { return MergedHistogram(/*service=*/false); });
     registry->RegisterHistogramFn(
         "service_seconds", "Join execution time (decompose+probe+merge)", "",
-        [this] { return MergedService(); });
+        [this] { return MergedHistogram(/*service=*/true); });
   }
 
  private:
+  /// Merged copy of one latency histogram across all worker slots. Each
+  /// slot is copied under its lock (a trivially-copyable array copy) and
+  /// merged outside it, so the O(kNumBuckets) Merge never runs while a
+  /// worker is blocked on RecordServed.
   util::LatencyHistogram MergedHistogram(bool service) const {
     util::LatencyHistogram merged, scratch;
     for (const auto& slot : slots_) {
@@ -281,12 +213,16 @@ class ServiceStatsRecorder {
     uint64_t completed = 0;
   };
 
+  static void Inc(util::Counter* counter) {
+    if (counter != nullptr) counter->Inc();
+  }
+
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::atomic<uint64_t> rejected_queue_full_{0};
-  std::atomic<uint64_t> rejected_shutdown_{0};
-  std::atomic<uint64_t> rejected_unknown_dataset_{0};
-  std::atomic<uint64_t> mutations_applied_{0};
-  std::atomic<uint64_t> rejected_mutations_{0};
+  util::Counter* rejected_queue_full_ = nullptr;
+  util::Counter* rejected_shutdown_ = nullptr;
+  util::Counter* rejected_unknown_dataset_ = nullptr;
+  util::Counter* mutations_applied_ = nullptr;
+  util::Counter* rejected_mutations_ = nullptr;
   util::WallTimer uptime_;
 };
 

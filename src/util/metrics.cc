@@ -251,6 +251,29 @@ std::vector<CollectedMetric> MetricsRegistry::Collect() const {
   return out;
 }
 
+std::vector<MetricSample> FlattenSamples(
+    const std::vector<CollectedMetric>& metrics) {
+  std::vector<MetricSample> out;
+  for (const CollectedMetric& m : metrics) {
+    const uint8_t kind = static_cast<uint8_t>(m.kind);
+    for (const MetricSeries& s : m.series) {
+      if (m.kind == MetricKind::kHistogram) {
+        const LatencyHistogram& h = s.hist;
+        out.push_back({m.name + "_count", s.labels, kind,
+                       static_cast<double>(h.count())});
+        out.push_back({m.name + "_sum", s.labels, kind, h.sum_micros() / 1e6});
+        out.push_back({m.name + "_p50", s.labels, kind, h.P50Micros() / 1e6});
+        out.push_back({m.name + "_p99", s.labels, kind, h.P99Micros() / 1e6});
+        out.push_back(
+            {m.name + "_p999", s.labels, kind, h.P999Micros() / 1e6});
+      } else {
+        out.push_back({m.name, s.labels, kind, s.value});
+      }
+    }
+  }
+  return out;
+}
+
 namespace {
 
 // Shortest round-trippable-enough representation; exposition format takes

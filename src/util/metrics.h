@@ -15,8 +15,10 @@
 //     collection (e.g. one series per catalog dataset), which is how
 //     per-dataset splits appear and disappear without re-registration.
 //
-// Collect() snapshots every family into plain structs (the wire protocol's
-// binary GET_METRICS form); RenderPrometheus() emits the text exposition
+// Collect() snapshots every family into plain structs; FlattenSamples()
+// turns a collection into flat (name, labels, kind, value) samples — the
+// form every structured exit reads (the binary GET_METRICS report and
+// service::StatsFromSamples); RenderPrometheus() emits the text exposition
 // format ("# HELP"/"# TYPE" + samples, histograms as cumulative per-octave
 // le buckets in seconds) under the actjoin_ prefix.
 //
@@ -107,6 +109,23 @@ struct CollectedMetric {
   std::vector<MetricSeries> series;
 };
 
+/// One flattened sample. Counters and gauges give one each; histograms
+/// give five sharing the family's kind byte — `<name>_count`,
+/// `<name>_sum`, `<name>_p50`, `<name>_p99`, `<name>_p999` — with the
+/// time-valued ones in seconds, matching the text exposition.
+struct MetricSample {
+  std::string name;    // without the actjoin_ exposition prefix
+  std::string labels;  // rendered inner label list ("" for none)
+  uint8_t kind = 0;    // MetricKind of the source family
+  double value = 0;
+
+  friend bool operator==(const MetricSample&, const MetricSample&) = default;
+};
+
+/// Flattens a Collect() result into samples, in collection order.
+std::vector<MetricSample> FlattenSamples(
+    const std::vector<CollectedMetric>& metrics);
+
 /// One structured event (epoch swap, checkpoint, GC, recovery, ...).
 struct MetricEvent {
   uint64_t seq = 0;      // 1-based, never reused; gaps reveal ring eviction
@@ -184,7 +203,7 @@ class MetricsRegistry {
                              std::function<FamilySeries()> fn);
 
   /// One consistent-enough snapshot of every family, in registration
-  /// order. The structured form behind the binary GET_METRICS payload.
+  /// order (flatten with FlattenSamples for the structured exits).
   std::vector<CollectedMetric> Collect() const;
 
   /// Prometheus text exposition format (actjoin_ prefix; histogram time

@@ -4,11 +4,12 @@
 // samples with strtod-parsable values, TYPE lines naming only counter /
 // gauge / histogram). Used by the registry unit tests and the admin
 // endpoint's /metrics test — one grammar, checked the same way at both
-// layers.
+// layers — plus ExpositionValue, which reads one sample back out of it.
 
 #ifndef ACTJOIN_TESTS_EXPOSITION_TEST_UTIL_H_
 #define ACTJOIN_TESTS_EXPOSITION_TEST_UTIL_H_
 
+#include <cmath>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -56,6 +57,24 @@ inline void ExpectParsesAsExposition(const std::string& text) {
     }
   }
   EXPECT_FALSE(typed.empty());
+}
+
+// The value of the sample line `series value` (series as rendered, e.g.
+// `actjoin_requests_rejected_total{reason="shutdown"}`); NaN when the
+// exposition has no such line, so a missing series never equals a count.
+inline double ExpositionValue(const std::string& text,
+                              const std::string& series) {
+  const std::string prefix = series + " ";
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    if (text.compare(start, prefix.size(), prefix) == 0) {
+      return std::strtod(text.c_str() + start + prefix.size(), nullptr);
+    }
+    start = end + 1;
+  }
+  return std::nan("");
 }
 
 }  // namespace actjoin::testutil

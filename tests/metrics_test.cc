@@ -13,10 +13,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +27,8 @@
 #include "exposition_test_util.h"
 #include "geo/grid.h"
 #include "join2/cross_match_stage.h"
+#include "net/join_client.h"
+#include "net/join_server.h"
 #include "service/join_service.h"
 #include "service/slow_query_log.h"
 #include "service/trace.h"
@@ -438,6 +443,151 @@ TEST(Observability, TracedSubmitStagesTileServiceTime) {
   JoinResult untraced = service.Submit(batch).get();
   EXPECT_FALSE(untraced.trace.enabled);
   EXPECT_EQ(untraced.trace.TotalMicros(), 0.0);
+}
+
+// --- One stats source ------------------------------------------------------
+
+// Every ServiceStats field but uptime_s and the two rates derived from it,
+// which move between two reads.
+void ExpectSameStats(const ServiceStats& a, const ServiceStats& b) {
+  EXPECT_EQ(a.completed_requests, b.completed_requests);
+  EXPECT_EQ(a.rejected_requests, b.rejected_requests);
+  EXPECT_EQ(a.rejected_queue_full, b.rejected_queue_full);
+  EXPECT_EQ(a.rejected_shutdown, b.rejected_shutdown);
+  EXPECT_EQ(a.rejected_unknown_dataset, b.rejected_unknown_dataset);
+  EXPECT_EQ(a.rejected_rate_limit, b.rejected_rate_limit);
+  EXPECT_EQ(a.rejected_inflight_bytes, b.rejected_inflight_bytes);
+  EXPECT_EQ(a.rejected_queue_watermark, b.rejected_queue_watermark);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.mutations_applied, b.mutations_applied);
+  EXPECT_EQ(a.rejected_mutations, b.rejected_mutations);
+  EXPECT_EQ(a.points_served, b.points_served);
+  EXPECT_EQ(a.queue_wait_p50_ms, b.queue_wait_p50_ms);
+  EXPECT_EQ(a.queue_wait_p99_ms, b.queue_wait_p99_ms);
+  EXPECT_EQ(a.queue_wait_p999_ms, b.queue_wait_p999_ms);
+  EXPECT_EQ(a.service_p50_ms, b.service_p50_ms);
+  EXPECT_EQ(a.service_p99_ms, b.service_p99_ms);
+  EXPECT_EQ(a.service_p999_ms, b.service_p999_ms);
+  EXPECT_EQ(a.queue_depth, b.queue_depth);
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.num_datasets, b.num_datasets);
+  EXPECT_EQ(a.active_subscriptions, b.active_subscriptions);
+  EXPECT_EQ(a.outstanding_requests, b.outstanding_requests);
+  EXPECT_EQ(a.events_pushed, b.events_pushed);
+  EXPECT_EQ(a.events_dropped, b.events_dropped);
+  EXPECT_EQ(a.peers, b.peers);
+  EXPECT_EQ(a.dataset_splits, b.dataset_splits);
+}
+
+TEST(Observability, StatsAndExpositionAgreeOnEveryRejectReason) {
+  // The stats a client fetches, the in-process view, and the /metrics
+  // text must tell one story for every reject reason — rejects at the
+  // front-end door included, and a mutation refused at the door counted
+  // as a refused mutation, not a refused join.
+  geo::Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.05);
+  auto index = BuildIndex(ds.polygons, 2);
+  ServiceOptions sopts;
+  sopts.worker_threads = 1;
+  sopts.queue_capacity = 8;
+  sopts.autostart = false;  // held back until the watermark reject
+  JoinService service(index, sopts);  // dataset 0 = "default"
+  ASSERT_TRUE(service.catalog().Add("doomed", index).has_value());
+  net::ServerOptions nopts;
+  nopts.admission.queue_watermark = 0.25;  // depth > 2 rejects
+  nopts.admission.rate_limit_qps = 1e-6;   // refill negligible in-test
+  nopts.admission.rate_burst = 2;
+  nopts.peer_key = net::PeerKeyPolicy::kIpPort;  // one bucket per client
+  net::JoinServer server(&service, nopts);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  wl::PointSet pts = wl::TaxiPoints(ds.mbr, 200, grid, 94);
+  const QueryBatch batch{pts.cell_ids(), pts.points(), act::JoinMode::kExact};
+  net::JoinClient client;
+  ASSERT_TRUE(client.Connect(server.host(), server.port(), &error)) << error;
+  auto expect_error = [](const net::JoinClient::Reply& reply,
+                         net::WireError code) {
+    EXPECT_FALSE(reply.ok);
+    EXPECT_EQ(reply.error, code) << reply.message;
+  };
+
+  // Queue watermark: three in-process submits fill the held-back queue.
+  std::vector<std::future<JoinResult>> held;
+  for (int i = 0; i < 3; ++i) held.push_back(service.Submit(batch));
+  expect_error(client.Join(batch), net::WireError::kQueueWatermark);
+  service.Start();
+  for (auto& f : held) f.get();
+
+  // Rate limit: a second client spends its burst of two, then bounces.
+  net::JoinClient greedy;
+  ASSERT_TRUE(greedy.Connect(server.host(), server.port(), &error)) << error;
+  ASSERT_TRUE(greedy.Join(batch).ok);
+  ASSERT_TRUE(greedy.Join(batch).ok);
+  expect_error(greedy.Join(batch), net::WireError::kRateLimited);
+
+  // Joins refused at the door: an unknown and a dropped dataset.
+  ASSERT_EQ(service.DropDataset(1).status, MutationStatus::kApplied);
+  QueryBatch unknown = batch;
+  unknown.dataset_id = 9;
+  expect_error(client.Join(unknown), net::WireError::kUnknownDataset);
+  QueryBatch dropped = batch;
+  dropped.dataset_id = 1;
+  expect_error(client.Join(dropped), net::WireError::kDatasetDropped);
+
+  // Mutations: one refused at the door, one refused by the service.
+  expect_error(client.AddPolygons(9, {ds.polygons[0]}),
+               net::WireError::kUnknownDataset);
+  expect_error(client.AddPolygons(0, {}), net::WireError::kInvalidMutation);
+
+  // The outstanding-requests gauge drops just after a reply is posted.
+  ServiceStats local = server.StatsWithAdmission();
+  for (int waited = 0; local.outstanding_requests != 0 && waited < 2000;
+       waited += 5) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    local = server.StatsWithAdmission();
+  }
+  ServiceStats remote;
+  ASSERT_TRUE(client.GetStats(&remote, &error)) << error;
+  local = server.StatsWithAdmission();
+  ExpectSameStats(remote, local);
+  EXPECT_LE(remote.uptime_s, local.uptime_s);
+
+  EXPECT_EQ(local.completed_requests, 5u);  // 3 held + 2 greedy
+  EXPECT_EQ(local.rejected_unknown_dataset, 2u);
+  EXPECT_EQ(local.rejected_queue_watermark, 1u);
+  EXPECT_EQ(local.rejected_rate_limit, 1u);
+  EXPECT_EQ(local.rejected_requests, 4u);
+  EXPECT_EQ(local.rejected_mutations, 2u);
+  EXPECT_EQ(local.mutations_applied, 1u);  // the drop
+
+  std::string text;
+  ASSERT_TRUE(client.GetMetricsText(&text, &error)) << error;
+  const std::pair<std::string, uint64_t> exported[] = {
+      {"requests_completed_total", local.completed_requests},
+      {"points_served_total", local.points_served},
+      {"requests_rejected_total{reason=\"queue_full\"}",
+       local.rejected_queue_full},
+      {"requests_rejected_total{reason=\"shutdown\"}",
+       local.rejected_shutdown},
+      {"requests_rejected_total{reason=\"unknown_dataset\"}",
+       local.rejected_unknown_dataset},
+      {"admission_rejected_total{reason=\"rate_limit\"}",
+       local.rejected_rate_limit},
+      {"admission_rejected_total{reason=\"inflight_bytes\"}",
+       local.rejected_inflight_bytes},
+      {"admission_rejected_total{reason=\"queue_watermark\"}",
+       local.rejected_queue_watermark},
+      {"mutations_applied_total", local.mutations_applied},
+      {"mutations_rejected_total", local.rejected_mutations},
+  };
+  for (const auto& [series, value] : exported) {
+    EXPECT_EQ(testutil::ExpositionValue(text, "actjoin_" + series),
+              static_cast<double>(value))
+        << series;
+  }
+  server.Stop();
 }
 
 }  // namespace

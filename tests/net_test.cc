@@ -292,77 +292,6 @@ TEST(NetWire, DatasetListRoundTripAndMalformedRejection) {
   EXPECT_FALSE(DecodeDatasetList(forged, &got));
 }
 
-TEST(NetWire, ServiceStatsRoundTrip) {
-  service::ServiceStats stats;
-  stats.completed_requests = 11;
-  stats.rejected_requests = 9;
-  stats.rejected_queue_full = 2;
-  stats.rejected_shutdown = 1;
-  stats.rejected_unknown_dataset = 4;
-  stats.rejected_rate_limit = 3;
-  stats.rejected_inflight_bytes = 2;
-  stats.rejected_queue_watermark = 1;
-  stats.cache_hits = 100;
-  stats.cache_misses = 20;
-  stats.points_served = 12345;
-  stats.uptime_s = 2.5;
-  stats.qps = 4.4;
-  stats.points_per_s = 4938.0;
-  stats.queue_wait_p50_ms = 0.1;
-  stats.queue_wait_p99_ms = 0.9;
-  stats.queue_wait_p999_ms = 1.8;
-  stats.service_p50_ms = 1.5;
-  stats.service_p99_ms = 6.5;
-  stats.service_p999_ms = 21.0;
-  stats.queue_depth = 3;
-  stats.epoch = 8;
-  stats.num_datasets = 2;
-  stats.active_subscriptions = 5;
-  stats.outstanding_requests = 7;
-  stats.events_pushed = 900;
-  stats.events_dropped = 13;
-  stats.peers.push_back({"10.0.0.1", 40, 2});
-  stats.peers.push_back({"10.0.0.2:5151", 1, 0});
-  stats.dataset_splits.push_back({0, false, 8, 10000, 9, "default"});
-  stats.dataset_splits.push_back({1, true, 3, 2345, 2, "census-2020"});
-
-  util::ByteWriter w;
-  AppendServiceStats(stats, &w);
-  service::ServiceStats got;
-  ASSERT_TRUE(DecodeServiceStats(w.bytes(), &got));
-  EXPECT_EQ(got.completed_requests, stats.completed_requests);
-  EXPECT_EQ(got.rejected_requests, stats.rejected_requests);
-  EXPECT_EQ(got.rejected_queue_full, stats.rejected_queue_full);
-  EXPECT_EQ(got.rejected_shutdown, stats.rejected_shutdown);
-  EXPECT_EQ(got.rejected_rate_limit, stats.rejected_rate_limit);
-  EXPECT_EQ(got.rejected_inflight_bytes, stats.rejected_inflight_bytes);
-  EXPECT_EQ(got.rejected_queue_watermark, stats.rejected_queue_watermark);
-  EXPECT_EQ(got.cache_hits, stats.cache_hits);
-  EXPECT_EQ(got.cache_misses, stats.cache_misses);
-  EXPECT_EQ(got.points_served, stats.points_served);
-  EXPECT_EQ(got.uptime_s, stats.uptime_s);
-  EXPECT_EQ(got.qps, stats.qps);
-  EXPECT_EQ(got.queue_depth, stats.queue_depth);
-  EXPECT_EQ(got.epoch, stats.epoch);
-  EXPECT_EQ(got.rejected_unknown_dataset, stats.rejected_unknown_dataset);
-  EXPECT_EQ(got.num_datasets, stats.num_datasets);
-  EXPECT_EQ(got.peers, stats.peers);
-  // v4 additions: tail quantiles and the per-dataset split table.
-  EXPECT_EQ(got.queue_wait_p999_ms, stats.queue_wait_p999_ms);
-  EXPECT_EQ(got.service_p999_ms, stats.service_p999_ms);
-  EXPECT_EQ(got.dataset_splits, stats.dataset_splits);
-  // v6 additions: standing-query gauges and push-channel counters.
-  EXPECT_EQ(got.active_subscriptions, stats.active_subscriptions);
-  EXPECT_EQ(got.outstanding_requests, stats.outstanding_requests);
-  EXPECT_EQ(got.events_pushed, stats.events_pushed);
-  EXPECT_EQ(got.events_dropped, stats.events_dropped);
-
-  // The trailing tables are length-delimited: truncating inside fails.
-  std::vector<uint8_t> bytes = w.bytes();
-  std::vector<uint8_t> bad(bytes.begin(), bytes.end() - 1);
-  EXPECT_FALSE(DecodeServiceStats(bad, &got));
-}
-
 TEST(NetWire, TracedJoinResultRoundTripAndRespondPatch) {
   service::JoinResult result;
   result.epoch = 3;
@@ -1143,25 +1072,29 @@ TEST(NetServer, UnknownTypeIsRecoverableOnSameConnection) {
   std::string error;
   UniqueFd raw = ConnectTcp(ts.server->host(), ts.server->port(), &error);
   ASSERT_TRUE(raw.valid()) << error;
-  std::vector<uint8_t> unknown =
-      EncodeEmptyFrame(static_cast<MessageType>(99), 5);
-  ASSERT_TRUE(SendAll(raw.get(), unknown.data(), unknown.size(), &error));
-
   uint8_t header_bytes[kFrameHeaderBytes];
-  ASSERT_TRUE(RecvAll(raw.get(), header_bytes, sizeof(header_bytes), &error));
   FrameHeader header;
   size_t frame_bytes = 0;
   WireError parse_err = WireError::kNone;
-  TryParseFrame({header_bytes, sizeof(header_bytes)}, kDefaultMaxFrameBytes,
-                &header, &frame_bytes, &parse_err);
-  ASSERT_EQ(header.type, MessageType::kError);
-  EXPECT_EQ(header.request_id, 5u);
-  std::vector<uint8_t> payload(header.payload_bytes);
-  ASSERT_TRUE(RecvAll(raw.get(), payload.data(), payload.size(), &error));
-  WireError code = WireError::kNone;
-  std::string message;
-  ASSERT_TRUE(DecodeError(payload, &code, &message));
-  EXPECT_EQ(code, WireError::kUnknownType);
+  // 99 was never assigned; 3 is the retired STATS request (wire v9).
+  for (uint8_t type : {99, 3}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    std::vector<uint8_t> unknown =
+        EncodeEmptyFrame(static_cast<MessageType>(type), type + 2u);
+    ASSERT_TRUE(SendAll(raw.get(), unknown.data(), unknown.size(), &error));
+    ASSERT_TRUE(
+        RecvAll(raw.get(), header_bytes, sizeof(header_bytes), &error));
+    TryParseFrame({header_bytes, sizeof(header_bytes)}, kDefaultMaxFrameBytes,
+                  &header, &frame_bytes, &parse_err);
+    ASSERT_EQ(header.type, MessageType::kError);
+    EXPECT_EQ(header.request_id, type + 2u);
+    std::vector<uint8_t> payload(header.payload_bytes);
+    ASSERT_TRUE(RecvAll(raw.get(), payload.data(), payload.size(), &error));
+    WireError code = WireError::kNone;
+    std::string message;
+    ASSERT_TRUE(DecodeError(payload, &code, &message));
+    EXPECT_EQ(code, WireError::kUnknownType);
+  }
 
   // Framing stayed intact: a PING on the same socket still answers.
   std::vector<uint8_t> ping = EncodeEmptyFrame(MessageType::kPing, 6);
@@ -1747,7 +1680,7 @@ TEST(NetServer, GetMetricsOverLoopbackBothFormats) {
   ASSERT_TRUE(client.GetMetrics(&report, &error)) << error;
   ASSERT_FALSE(report.samples.empty());
   bool saw_completed = false, saw_p99 = false;
-  for (const MetricSample& s : report.samples) {
+  for (const util::MetricSample& s : report.samples) {
     if (s.name == "requests_completed_total" && s.labels.empty()) {
       saw_completed = true;
       EXPECT_EQ(s.kind, 0);  // counter
@@ -1858,17 +1791,6 @@ TEST(DeltaNet, MutationCodecsRoundTripAndRejectMalformed) {
   bad_op[0] = static_cast<uint8_t>(MessageType::kPing);
   EXPECT_FALSE(DecodeMutationAck(bad_op, &got_ack));
 
-  // STATS carries the mutation counters now.
-  service::ServiceStats stats;
-  stats.mutations_applied = 21;
-  stats.rejected_mutations = 4;
-  util::ByteWriter sw;
-  AppendServiceStats(stats, &sw);
-  service::ServiceStats got_stats;
-  ASSERT_TRUE(DecodeServiceStats(sw.bytes(), &got_stats));
-  EXPECT_EQ(got_stats.mutations_applied, 21u);
-  EXPECT_EQ(got_stats.rejected_mutations, 4u);
-
   // DATASET_LIST: the per-entry flags field carries the tombstone; any
   // unknown flag bit is malformed (reserved for future use, must be 0).
   std::vector<service::DatasetInfo> datasets(2);
@@ -1974,10 +1896,10 @@ TEST(DeltaNet, LiveMutationOverLoopbackMatchesFreshBuild) {
   service::ServiceStats stats;
   ASSERT_TRUE(client.GetStats(&stats, &error)) << error;
   EXPECT_EQ(stats.mutations_applied, 3u);  // add, remove, drop
-  // Only rejections that reach the service count here: the empty add and
-  // the out-of-range remove. Unknown-dataset and post-drop frames bounce
-  // at the server's pre-admission door.
-  EXPECT_EQ(stats.rejected_mutations, 2u);
+  // Every refused mutation counts here, wherever it was refused: the empty
+  // add and the out-of-range remove by the service, the unknown-dataset
+  // and post-drop adds at the server's pre-admission door.
+  EXPECT_EQ(stats.rejected_mutations, 4u);
   EXPECT_EQ(stats.completed_requests, 3u);
 }
 
