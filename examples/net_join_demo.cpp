@@ -48,9 +48,6 @@ int main(int argc, char** argv) {
 
   service::ServiceOptions service_opts;
   service_opts.worker_threads = 2;
-  // Sized to hold the whole workload's distinct leaf cells: the client
-  // cycles through the same batches, so every recycled batch hits.
-  service_opts.cell_cache_capacity = 1 << 17;
   service::JoinService service(index, service_opts);
 
   net::ServerOptions server_opts;  // port 0 => ephemeral
@@ -126,18 +123,18 @@ int main(int argc, char** argv) {
               stats.qps, stats.service_p50_ms, stats.service_p99_ms,
               stats.queue_wait_p50_ms);
   std::printf("  rejects: rate=%llu bytes=%llu watermark=%llu "
-              "queue-full=%llu | cache hits/misses %llu/%llu\n",
+              "queue-full=%llu | points served %llu\n",
               static_cast<unsigned long long>(stats.rejected_rate_limit),
               static_cast<unsigned long long>(stats.rejected_inflight_bytes),
               static_cast<unsigned long long>(
                   stats.rejected_queue_watermark),
               static_cast<unsigned long long>(stats.rejected_queue_full),
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.cache_misses));
+              static_cast<unsigned long long>(stats.points_served));
 
   bool sane = ok > 0 && other_errors == 0 &&
               stats.rejected_rate_limit == rate_limited &&
-              stats.completed_requests == ok;
+              stats.completed_requests == ok &&
+              stats.points_served == points_served;
   if (!sane) {
     std::fprintf(stderr, "demo invariants violated\n");
     return 1;

@@ -11,10 +11,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "net/join_server.h"
 #include "net/wire.h"
 #include "service/service_catalog.h"
 #include "service/service_stats.h"
@@ -227,7 +227,13 @@ std::string AdminServer::RouteReadyz() const {
 }
 
 std::string AdminServer::RouteStatusz() const {
-  const service::ServiceStats stats = service_->Stats();
+  // One Collect() feeds [service] and [wire]: every number in them is a
+  // /metrics series, all read at the same instant.
+  std::vector<util::MetricSample> samples;
+  if (const util::MetricsRegistry* registry = service_->metrics()) {
+    samples = util::FlattenSamples(registry->Collect());
+  }
+  const service::ServiceStats stats = service::StatsFromSamples(samples);
   std::string out;
   AppendF(&out, "actjoin statusz\n");
   AppendF(&out, "build: wire v%u, %s, %s\n",
@@ -256,9 +262,6 @@ std::string AdminServer::RouteStatusz() const {
   AppendF(&out, "mutations_applied: %llu  rejected_mutations: %llu\n",
           static_cast<unsigned long long>(stats.mutations_applied),
           static_cast<unsigned long long>(stats.rejected_mutations));
-  AppendF(&out, "cache_hits: %llu  cache_misses: %llu\n",
-          static_cast<unsigned long long>(stats.cache_hits),
-          static_cast<unsigned long long>(stats.cache_misses));
 
   AppendF(&out, "\n[datasets]\n");
   for (const service::DatasetInfo& ds : service_->catalog().List()) {
@@ -287,29 +290,36 @@ std::string AdminServer::RouteStatusz() const {
   }
 
   if (server_ != nullptr) {
-    const ServerCounters sc = server_->counters();
+    auto count = [&samples](std::string_view name,
+                            std::string_view labels = {}) {
+      for (const util::MetricSample& s : samples) {
+        if (s.name == name && s.labels == labels) {
+          return static_cast<unsigned long long>(s.value);
+        }
+      }
+      return 0ULL;
+    };
     AppendF(&out, "\n[wire]\n");
     AppendF(&out, "connections accepted/closed: %llu / %llu\n",
-            static_cast<unsigned long long>(sc.connections_accepted),
-            static_cast<unsigned long long>(sc.connections_closed));
+            count("server_connections_accepted_total"),
+            count("server_connections_closed_total"));
     AppendF(&out, "frames_received: %llu  responses_sent: %llu\n",
-            static_cast<unsigned long long>(sc.frames_received),
-            static_cast<unsigned long long>(sc.responses_sent));
+            count("server_frames_received_total"),
+            count("server_responses_sent_total"));
     AppendF(&out, "protocol_errors: %llu\n",
-            static_cast<unsigned long long>(sc.protocol_errors));
+            count("server_protocol_errors_total"));
     AppendF(&out, "events pushed/dropped: %llu / %llu  gap_frames: %llu\n",
-            static_cast<unsigned long long>(sc.events_pushed),
-            static_cast<unsigned long long>(sc.events_dropped),
-            static_cast<unsigned long long>(sc.gap_frames));
-    const AdmissionController::Counters ac = server_->admission_counters();
+            count("server_events_pushed_total"),
+            count("server_events_dropped_total"),
+            count("server_event_gap_frames_total"));
     AppendF(&out,
             "admission admitted: %llu  rejected rate/bytes/watermark: "
             "%llu / %llu / %llu  refunded: %llu\n",
-            static_cast<unsigned long long>(ac.admitted),
-            static_cast<unsigned long long>(ac.rate_limited),
-            static_cast<unsigned long long>(ac.inflight_bytes),
-            static_cast<unsigned long long>(ac.queue_watermark),
-            static_cast<unsigned long long>(ac.refunded));
+            count("admission_admitted_total"),
+            count("admission_rejected_total", "reason=\"rate_limit\""),
+            count("admission_rejected_total", "reason=\"inflight_bytes\""),
+            count("admission_rejected_total", "reason=\"queue_watermark\""),
+            count("admission_refunded_total"));
     AppendF(&out, "active_subscriptions: %llu  outstanding_requests: %llu\n",
             static_cast<unsigned long long>(stats.active_subscriptions),
             static_cast<unsigned long long>(stats.outstanding_requests));

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "geometry/pip.h"
 #include "service/subscription_matcher.h"
 #include "util/check.h"
 #include "util/parallel_for.h"
@@ -72,11 +71,6 @@ JoinService::JoinService(const ServiceOptions& opts)
   if (opts_.shared_pool_workers > 0) {
     join_pool_ =
         std::make_unique<util::WorkStealingPool>(opts_.shared_pool_workers);
-  }
-  if (opts_.cell_cache_shards < 1) opts_.cell_cache_shards = 1;
-  if (opts_.cell_cache_capacity > 0) {
-    cell_cache_ = std::make_unique<HotCellCache>(opts_.cell_cache_capacity,
-                                                 opts_.cell_cache_shards);
   }
   // Same reservation discipline as the catalog's slot vector: reserve the
   // whole u16 id space so push_back in CountersFor never reallocates under
@@ -169,7 +163,6 @@ void JoinService::RegisterMetrics() {
         }
         return out;
       });
-  if (cell_cache_ != nullptr) cell_cache_->RegisterMetrics(r);
   if (opts_.stage_perf_counters) {
     for (int i = 0; i < kNumTraceStages; ++i) {
       const auto s = static_cast<TraceStage>(i);
@@ -360,10 +353,8 @@ MutationResult JoinService::Mutate(uint16_t dataset_id,
     return out;
   }
 
-  uint64_t old_epoch = 0;
-  Snapshot base = registry->Acquire(&old_epoch);
+  Snapshot base = registry->Acquire();
   Snapshot next;
-  ShardedIndex::DeltaResult delta_result;
   switch (kind) {
     case MutationRecord::Kind::kAdd: {
       // Polygon ids are 30-bit (act::kMaxPolygonId); a batch that would
@@ -383,9 +374,10 @@ MutationResult JoinService::Mutate(uint16_t dataset_id,
       }
       ShardedIndex::Delta delta;
       delta.add = add;
-      delta_result = ShardedIndex::ApplyDelta(*base, delta);
-      next = delta_result.index;
-      out.first_id = delta_result.first_added_id;
+      ShardedIndex::DeltaResult applied =
+          ShardedIndex::ApplyDelta(*base, delta);
+      next = std::move(applied.index);
+      out.first_id = applied.first_added_id;
       break;
     }
     case MutationRecord::Kind::kRemove: {
@@ -403,8 +395,7 @@ MutationResult JoinService::Mutate(uint16_t dataset_id,
       }
       ShardedIndex::Delta delta;
       delta.remove = remove;
-      delta_result = ShardedIndex::ApplyDelta(*base, delta);
-      next = delta_result.index;
+      next = ShardedIndex::ApplyDelta(*base, delta).index;
       break;
     }
     case MutationRecord::Kind::kDrop: {
@@ -423,14 +414,6 @@ MutationResult JoinService::Mutate(uint16_t dataset_id,
       kind == MutationRecord::Kind::kDrop
           ? 0
           : base->num_polygons() + add.size();
-  if (cell_cache_ != nullptr) {
-    if (kind == MutationRecord::Kind::kDrop) {
-      cell_cache_->InvalidateDataset(dataset_id);
-    } else {
-      cell_cache_->InvalidateRanges(dataset_id, old_epoch, out.epoch,
-                                    delta_result.touched_ranges);
-    }
-  }
   const size_t added_count = add.size();
   const size_t removed_count = remove.size();
   if (MutationJournal* journal = catalog_.JournalOf(dataset_id)) {
@@ -526,120 +509,6 @@ void JoinService::WorkerLoop(int worker_id) {
   while (auto req = queue_.Pop()) Execute(**req, worker_id);
 }
 
-namespace {
-
-// Per-point sub-range of CachedJoin: replay the cached reference list (or
-// probe once and fill the cache), then apply the exact same per-reference
-// logic as act::ExecuteJoin — so every JoinStats field matches the
-// uncached ShardedIndex::Join bit for bit, modulo `seconds`. The cache is
-// internally sharded+locked, so concurrent ranges may call it freely.
-void CachedJoinRange(const ShardedIndex& index, HotCellCache& cache,
-                     const act::JoinInput& input, bool exact,
-                     uint16_t dataset_id, uint64_t epoch, uint64_t begin,
-                     uint64_t end, act::JoinStats* out) {
-  out->counts.assign(index.num_polygons(), 0);
-  std::vector<CellRef> refs;
-  for (uint64_t p = begin; p < end; ++p) {
-    const uint64_t cell = input.cell_ids[p];
-    if (!cache.Lookup(dataset_id, cell, epoch, &refs)) {
-      index.ProbeCell(cell, &refs);
-      cache.Insert(dataset_id, cell, epoch, refs);
-    }
-    if (refs.empty()) {
-      ++out->sth_points;  // sentinel probe (or empty shard): guaranteed miss
-      continue;
-    }
-    const int s = index.ShardOf(cell);
-    const std::vector<uint32_t>& gids = index.shard_polygon_ids(s);
-    const act::PolygonIndex* shard = index.shard_index(s);
-    const uint64_t pairs_before = out->result_pairs;
-    bool had_candidate = false;
-    for (const CellRef& r : refs) {
-      if (r.interior) {
-        ++out->true_hit_refs;
-        ++out->counts[gids[r.local_pid]];
-        ++out->result_pairs;
-        continue;
-      }
-      ++out->candidate_refs;
-      had_candidate = true;
-      if (!exact) {
-        ++out->counts[gids[r.local_pid]];
-        ++out->result_pairs;
-        continue;
-      }
-      ++out->pip_tests;
-      if (geom::ContainsPoint(shard->polygons()[r.local_pid],
-                              input.points[p])) {
-        ++out->pip_hits;
-        ++out->counts[gids[r.local_pid]];
-        ++out->result_pairs;
-      }
-    }
-    if (out->result_pairs != pairs_before) ++out->matched_points;
-    if (!had_candidate) ++out->sth_points;
-  }
-}
-
-// Range width matching the sharded executor's task floor: cache-assisted
-// points are cheaper than trie probes, so anything finer drowns in
-// per-range bookkeeping.
-constexpr uint64_t kMinCacheRangePoints = 2048;
-
-}  // namespace
-
-// Cache-assisted join, decomposed into point sub-ranges drained by the
-// shared pool (or a transient one at threads_per_join width), so the
-// cached path honors the same thread budget as the executor path. Partial
-// stats merge in fixed range order — integer counters, so results stay
-// byte-identical to the serial loop at any width.
-act::JoinStats JoinService::CachedJoin(const ShardedIndex& index,
-                                       const act::JoinInput& input,
-                                       act::JoinMode mode, uint16_t dataset_id,
-                                       uint64_t epoch) {
-  util::WallTimer timer;
-  const bool exact = mode == act::JoinMode::kExact;
-  const uint64_t n = input.size();
-  act::JoinStats out;
-  out.num_points = n;
-
-  util::WorkStealingPool* pool = join_pool_.get();
-  const int width = util::EffectiveWidth(pool, opts_.threads_per_join);
-  const uint64_t range_points = std::max(
-      kMinCacheRangePoints,
-      (n + static_cast<uint64_t>(width) - 1) / static_cast<uint64_t>(width));
-  const uint64_t num_ranges =
-      n == 0 ? 0 : (n + range_points - 1) / range_points;
-
-  if (num_ranges <= 1 || width <= 1) {
-    CachedJoinRange(index, *cell_cache_, input, exact, dataset_id, epoch, 0, n,
-                    &out);
-    out.seconds = timer.ElapsedSeconds();
-    return out;
-  }
-
-  std::vector<act::JoinStats> partial(num_ranges);
-  auto run_range = [&](uint64_t r) {
-    CachedJoinRange(index, *cell_cache_, input, exact, dataset_id, epoch,
-                    r * range_points, std::min((r + 1) * range_points, n),
-                    &partial[r]);
-  };
-  if (pool != nullptr && pool->num_workers() > 0) {
-    pool->Run(num_ranges, run_range);
-  } else {
-    util::WorkStealingPool local(width - 1);
-    local.Run(num_ranges, run_range);
-  }
-
-  out.counts.assign(index.num_polygons(), 0);
-  for (const act::JoinStats& st : partial) {
-    out.AccumulateCounters(st);
-    for (size_t k = 0; k < st.counts.size(); ++k) out.counts[k] += st.counts[k];
-  }
-  out.seconds = timer.ElapsedSeconds();
-  return out;
-}
-
 void JoinService::Execute(Request& req, int worker_id) {
   if (req.work) {
     // Mutation task: runs the delta apply + publish on this worker thread
@@ -667,24 +536,12 @@ void JoinService::Execute(Request& req, int worker_id) {
   // just traced requests); the deltas ride the wire only when traced.
   const util::StagePerfCounters* stage_perf = StageCounters();
   const bool want_phases = traced || stage_perf != nullptr;
-  if (cell_cache_ != nullptr) {
-    // The cached path interleaves lookup/probe/count per point; there is
-    // no decompose/merge boundary to time, so its whole wall is probe.
-    util::StageLap lap(stage_perf);
-    result.stats = CachedJoin(*snapshot, input, req.batch.mode,
-                              req.batch.dataset_id, result.epoch);
-    const util::StageSplit probe = lap.Lap();
-    phases.probe_us = probe.us;
-    phases.probe_counters = probe.counters;
-    phases.counters_valid = lap.counting();
-  } else {
-    // With a shared pool the join's task units drain through it (and this
-    // worker helps); otherwise the executor is threads_per_join wide.
-    result.stats =
-        snapshot->Join(input, {req.batch.mode, opts_.threads_per_join},
-                       join_pool_.get(), want_phases ? &phases : nullptr,
-                       stage_perf);
-  }
+  // With a shared pool the join's task units drain through it (and this
+  // worker helps); otherwise the executor is threads_per_join wide.
+  result.stats =
+      snapshot->Join(input, {req.batch.mode, opts_.threads_per_join},
+                     join_pool_.get(), want_phases ? &phases : nullptr,
+                     stage_perf);
   result.queue_wait_ms = queue_wait_ms;
   result.service_ms = service_timer.ElapsedMillis();
 

@@ -40,7 +40,6 @@
 
 #include "act/join.h"
 #include "geometry/point.h"
-#include "service/hot_cell_cache.h"
 #include "service/index_registry.h"
 #include "service/service_catalog.h"
 #include "service/service_stats.h"
@@ -63,11 +62,11 @@ struct ServiceOptions {
   /// Bounded request-queue capacity (backpressure threshold); clamped to
   /// >= 1 like the other options here.
   size_t queue_capacity = 256;
-  /// Probe width *inside* one request's join (both the sharded executor
-  /// and the cache-assisted path honor it). Default 1: with a pool of
-  /// workers, cross-request parallelism already saturates the cores
-  /// without oversubscription. Ignored when shared_pool_workers > 0 (the
-  /// shared pool's width applies instead).
+  /// Probe width *inside* one request's join (the ShardedIndex::Join
+  /// thread budget). Default 1: with a pool of workers, cross-request
+  /// parallelism already saturates the cores without oversubscription.
+  /// Ignored when shared_pool_workers > 0 (the shared pool's width applies
+  /// instead).
   int threads_per_join = 1;
   /// > 0: the service owns one util::WorkStealingPool with this many
   /// worker threads, shared by every worker's join — all concurrent
@@ -80,15 +79,10 @@ struct ServiceOptions {
   /// Start the worker pool in the constructor. Tests set false to fill the
   /// queue deterministically, then call Start().
   bool autostart = true;
-  /// Hot-cell result cache: > 0 enables a sharded LRU of this many cells
-  /// (keyed by leaf cell id, tagged with the snapshot epoch so hot swaps
-  /// invalidate logically). Off by default — it pays off only under skewed
-  /// (taxi-like) probe distributions; results are identical either way.
-  /// Cached requests run their probe loop at width 1 (the worker pool
-  /// supplies the parallelism), so threads_per_join is ignored for them.
+  /// Retired: every request runs the one ShardedIndex::Join executor, and
+  /// this field has no effect. It stays only so that existing callers that
+  /// set it to 0 still compile; it is deleted with the last such caller.
   size_t cell_cache_capacity = 0;
-  /// Mutex shards inside the cache (rounded up to a power of two).
-  int cell_cache_shards = 8;
   /// Own a util::MetricsRegistry and register every subsystem's counters,
   /// latency histograms, per-dataset splits, slow-query log, and event log
   /// into it — the one source of every exported number (GET_METRICS,
@@ -244,12 +238,12 @@ class JoinService {
   //
   // Each call applies one delta copy-on-write (ShardedIndex::ApplyDelta)
   // and publishes the result through the dataset's SnapshotRegistry:
-  // in-flight joins finish on the snapshot they pinned, the hot-cell
-  // cache invalidates exactly the touched (dataset, cell) entries, and
-  // the mutation is appended to the dataset's journal so the Checkpointer
-  // can persist it as an O(churn) delta file. Mutations serialize on one
-  // mutation mutex (publishes stay epoch-contiguous for the journal);
-  // joins never take it.
+  // in-flight joins finish on the snapshot they pinned, every request
+  // dequeued after the publish probes the new one, and the mutation is
+  // appended to the dataset's journal so the Checkpointer can persist it
+  // as an O(churn) delta file. Mutations serialize on one mutation mutex
+  // (publishes stay epoch-contiguous for the journal); joins never take
+  // it.
 
   /// Appends polygons; ids are assigned contiguously from the dataset's
   /// current num_polygons (MutationResult::first_id).
@@ -419,15 +413,11 @@ class JoinService {
   /// Runs the attached matcher's OnEpochSwap (outside mutation_mu_, so
   /// the track resync never extends the publish critical section).
   void NotifyEpochSwap(uint16_t dataset_id);
-  act::JoinStats CachedJoin(const ShardedIndex& index,
-                            const act::JoinInput& input, act::JoinMode mode,
-                            uint16_t dataset_id, uint64_t epoch);
 
   ServiceOptions opts_;
   ServiceCatalog catalog_;
   util::MpmcQueue<std::unique_ptr<Request>> queue_;
   std::unique_ptr<util::WorkStealingPool> join_pool_;  // null when disabled
-  std::unique_ptr<HotCellCache> cell_cache_;           // null when disabled
   ServiceStatsRecorder stats_;
   std::unique_ptr<util::MetricsRegistry> metrics_;     // null when disabled
   SlowQueryLog slow_queries_;

@@ -59,8 +59,6 @@ constexpr CountField kCountFields[] = {
      &ServiceStats::rejected_inflight_bytes},
     {"admission_rejected_total", "reason=\"queue_watermark\"",
      &ServiceStats::rejected_queue_watermark},
-    {"cache_hits_total", "", &ServiceStats::cache_hits},
-    {"cache_misses_total", "", &ServiceStats::cache_misses},
     {"mutations_applied_total", "", &ServiceStats::mutations_applied},
     {"mutations_rejected_total", "", &ServiceStats::rejected_mutations},
     {"points_served_total", "", &ServiceStats::points_served},

@@ -71,10 +71,6 @@ struct ServiceStats {
   uint64_t rejected_rate_limit = 0;
   uint64_t rejected_inflight_bytes = 0;
   uint64_t rejected_queue_watermark = 0;
-  /// Hot-cell result cache counters; both zero while the cache is off
-  /// (ServiceOptions.cell_cache_capacity == 0).
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   /// Live mutations (ADD_POLYGONS / REMOVE_POLYGONS / DROP_DATASET)
   /// published as new epochs, and mutations refused with a typed error
   /// (unknown dataset, dropped dataset, invalid payload) by the service or

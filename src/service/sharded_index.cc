@@ -84,29 +84,6 @@ ShardedIndex ShardedIndex::Build(const std::vector<geom::Polygon>& polygons,
   return out;
 }
 
-namespace {
-
-// Collapses an unsorted interval list into sorted, coalesced form so the
-// cache invalidation walk can binary-search it.
-void NormalizeRanges(std::vector<std::pair<uint64_t, uint64_t>>* ranges) {
-  if (ranges->empty()) return;
-  std::sort(ranges->begin(), ranges->end());
-  size_t w = 0;
-  for (size_t i = 1; i < ranges->size(); ++i) {
-    auto& cur = (*ranges)[w];
-    const auto& next = (*ranges)[i];
-    // Adjacent leaf intervals coalesce too (max avoids overflow bait).
-    if (next.first <= cur.second || next.first == cur.second + 1) {
-      cur.second = std::max(cur.second, next.second);
-    } else {
-      (*ranges)[++w] = next;
-    }
-  }
-  ranges->resize(w + 1);
-}
-
-}  // namespace
-
 ShardedIndex::DeltaResult ShardedIndex::ApplyDelta(const ShardedIndex& base,
                                                    const Delta& delta) {
   util::WallTimer timer;
@@ -178,7 +155,6 @@ ShardedIndex::DeltaResult ShardedIndex::ApplyDelta(const ShardedIndex& base,
 
     // Clone-on-write: reuse the shard's already-computed covering, drop
     // the removed references, extend with the added polygons' coverings.
-    const size_t old_local_count = from.global_ids.size();
     to.global_ids = from.global_ids;
     std::vector<geom::Polygon> subset;
     subset.reserve(added_in[s].size());
@@ -195,41 +171,8 @@ ShardedIndex::DeltaResult ShardedIndex::ApplyDelta(const ShardedIndex& base,
       if (!subset.empty()) next.AddPolygons(subset);
       to.index = std::make_shared<const act::PolygonIndex>(std::move(next));
     }
-
-    // Invalidation set: every base covering cell that referenced a removed
-    // polygon (its reference list shrank, or the cell vanished entirely)
-    // and every new covering cell referencing an added polygon. Cells a
-    // conflict split merely subdivided keep their reference lists, so
-    // cached probe replays for them stay byte-identical.
-    if (!removed_local.empty() && from.index != nullptr) {
-      std::vector<bool> removed_here(old_local_count, false);
-      for (uint32_t local : removed_local) removed_here[local] = true;
-      const act::SuperCovering& cov = from.index->covering();
-      for (size_t i = 0; i < cov.size(); ++i) {
-        for (const act::PolygonRef& r : cov.refs(i)) {
-          if (removed_here[r.polygon_id]) {
-            result.touched_ranges.emplace_back(
-                cov.cell(i).range_min().id(), cov.cell(i).range_max().id());
-            break;
-          }
-        }
-      }
-    }
-    if (!added_in[s].empty()) {
-      const act::SuperCovering& cov = to.index->covering();
-      for (size_t i = 0; i < cov.size(); ++i) {
-        for (const act::PolygonRef& r : cov.refs(i)) {
-          if (r.polygon_id >= old_local_count) {
-            result.touched_ranges.emplace_back(
-                cov.cell(i).range_min().id(), cov.cell(i).range_max().id());
-            break;
-          }
-        }
-      }
-    }
   }
 
-  NormalizeRanges(&result.touched_ranges);
   out->build_seconds_ = timer.ElapsedSeconds();
   result.index = std::move(out);
   return result;

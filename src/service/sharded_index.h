@@ -29,9 +29,7 @@
 // touches (clone-on-write at shard granularity — the covering, the
 // expensive build phase, is reused and only extended for the new
 // polygons), shares every untouched shard's trie with the base snapshot,
-// and returns a new index to publish through the registry swap, plus the
-// leaf-id ranges whose probe results changed so the hot-cell cache can
-// invalidate exactly the touched (dataset, cell) entries.
+// and returns a new index to publish through the registry swap.
 
 #ifndef ACTJOIN_SERVICE_SHARDED_INDEX_H_
 #define ACTJOIN_SERVICE_SHARDED_INDEX_H_
@@ -65,11 +63,10 @@ struct ShardingOptions {
 
 /// One probe-visible polygon reference: shard-local polygon id (map through
 /// shard_polygon_ids(ShardOf(cell)) for the global id) plus the interior
-/// (true-hit) flag. The value type of the hot-cell result cache.
+/// (true-hit) flag. What ProbeCell returns per reference.
 struct CellRef {
   uint32_t local_pid = 0;
   bool interior = false;
-  friend bool operator==(const CellRef&, const CellRef&) = default;
 };
 
 class ShardedIndex {
@@ -112,14 +109,10 @@ class ShardedIndex {
     std::vector<uint32_t> remove;  // global polygon ids, < num_polygons()
   };
 
-  /// ApplyDelta's output: the next snapshot plus the cache-invalidation
-  /// set. `touched_ranges` is a sorted, coalesced list of leaf-cell-id
-  /// intervals [first, last] covering every covering cell whose reference
-  /// list changed; a cached probe result for a leaf outside every range is
-  /// still byte-identical against the new snapshot.
+  /// ApplyDelta's output: the next snapshot plus the global id assigned to
+  /// the first added polygon (the rest follow contiguously).
   struct DeltaResult {
     std::shared_ptr<const ShardedIndex> index;
-    std::vector<std::pair<uint64_t, uint64_t>> touched_ranges;
     uint32_t first_added_id = 0;
   };
 
@@ -204,9 +197,9 @@ class ShardedIndex {
 
   /// Replaces `out` with the references the probe loop would visit for
   /// this leaf cell, in visit order. Empty output <=> a sentinel probe (a
-  /// guaranteed miss). This is the seam the hot-cell result cache fills:
-  /// replaying the list (interior flags included) is equivalent to the
-  /// trie walk, for both join modes.
+  /// guaranteed miss). Replaying the list (interior flags included) is
+  /// equivalent to the trie walk, for both join modes; SubscriptionMatcher
+  /// uses it to compute one tracked point's polygon membership.
   void ProbeCell(uint64_t leaf_cell_id, std::vector<CellRef>* out) const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }

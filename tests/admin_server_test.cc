@@ -15,6 +15,8 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +27,8 @@
 #include "exposition_test_util.h"
 #include "geo/grid.h"
 #include "net/admin_server.h"
+#include "net/join_client.h"
+#include "net/join_server.h"
 #include "net/socket.h"
 #include "service/join_service.h"
 #include "service/sharded_index.h"
@@ -178,6 +182,112 @@ TEST(AdminHttpTest, StatuszShowsDatasetsStagesAndWireCounters) {
   EXPECT_EQ(body.find("[wire]"), std::string::npos);
 
   admin.Stop();
+  service.Shutdown();
+}
+
+/// The line of `text` that starts with `prefix` ("" when there is none).
+std::string LineStartingWith(const std::string& text,
+                             const std::string& prefix) {
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    if (text.compare(start, prefix.size(), prefix) == 0) {
+      return text.substr(start, end - start);
+    }
+    start = end + 1;
+  }
+  return {};
+}
+
+TEST(AdminHttpTest, StatuszWireBlockEqualsItsMetricsSeries) {
+  JoinService service(SmallSnapshot());
+  JoinServer server(&service);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  JoinClient client;
+  ASSERT_TRUE(client.Connect(server.host(), server.port(), &error)) << error;
+  ASSERT_TRUE(client.Join(SmallBatch()).ok);
+  // The reply can reach the client before the server counts the flush or
+  // retires the request; wait for both so the two scrapes below see the
+  // same numbers. The client stays connected, so nothing moves after.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((server.counters().responses_sent < 1 ||
+          service.Stats().outstanding_requests != 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  AdminServer admin(&service, AdminOptions{}, &server);
+  ASSERT_TRUE(admin.Start());
+
+  const std::string statusz = Body(HttpGet(admin.port(), "/statusz"));
+  const std::string metrics = Body(HttpGet(admin.port(), "/metrics"));
+  const size_t wire_at = statusz.find("\n[wire]\n");
+  ASSERT_NE(wire_at, std::string::npos) << statusz;
+  const std::string wire = statusz.substr(wire_at);
+  auto series = [&metrics](const std::string& name) {
+    return testutil::ExpositionValue(metrics, "actjoin_" + name);
+  };
+
+  unsigned long long a = 0, b = 0, c = 0, d = 0, e = 0;
+  ASSERT_EQ(std::sscanf(
+                LineStartingWith(wire, "connections accepted/closed:").c_str(),
+                "connections accepted/closed: %llu / %llu", &a, &b),
+            2);
+  EXPECT_EQ(a, series("server_connections_accepted_total"));
+  EXPECT_EQ(b, series("server_connections_closed_total"));
+  EXPECT_EQ(a, 1u);
+
+  ASSERT_EQ(std::sscanf(LineStartingWith(wire, "frames_received:").c_str(),
+                        "frames_received: %llu  responses_sent: %llu", &a,
+                        &b),
+            2);
+  EXPECT_EQ(a, series("server_frames_received_total"));
+  EXPECT_EQ(b, series("server_responses_sent_total"));
+  EXPECT_EQ(a, 1u);
+  EXPECT_EQ(b, 1u);
+
+  ASSERT_EQ(std::sscanf(LineStartingWith(wire, "protocol_errors:").c_str(),
+                        "protocol_errors: %llu", &a),
+            1);
+  EXPECT_EQ(a, series("server_protocol_errors_total"));
+
+  ASSERT_EQ(std::sscanf(
+                LineStartingWith(wire, "events pushed/dropped:").c_str(),
+                "events pushed/dropped: %llu / %llu  gap_frames: %llu", &a,
+                &b, &c),
+            3);
+  EXPECT_EQ(a, series("server_events_pushed_total"));
+  EXPECT_EQ(b, series("server_events_dropped_total"));
+  EXPECT_EQ(c, series("server_event_gap_frames_total"));
+
+  ASSERT_EQ(std::sscanf(LineStartingWith(wire, "admission admitted:").c_str(),
+                        "admission admitted: %llu  rejected "
+                        "rate/bytes/watermark: %llu / %llu / %llu  "
+                        "refunded: %llu",
+                        &a, &b, &c, &d, &e),
+            5);
+  EXPECT_EQ(a, series("admission_admitted_total"));
+  EXPECT_EQ(b, series("admission_rejected_total{reason=\"rate_limit\"}"));
+  EXPECT_EQ(c,
+            series("admission_rejected_total{reason=\"inflight_bytes\"}"));
+  EXPECT_EQ(d,
+            series("admission_rejected_total{reason=\"queue_watermark\"}"));
+  EXPECT_EQ(e, series("admission_refunded_total"));
+  EXPECT_EQ(a, 1u);
+
+  ASSERT_EQ(std::sscanf(
+                LineStartingWith(wire, "active_subscriptions:").c_str(),
+                "active_subscriptions: %llu  outstanding_requests: %llu", &a,
+                &b),
+            2);
+  EXPECT_EQ(a, series("active_subscriptions"));
+  EXPECT_EQ(b, series("server_outstanding_requests"));
+
+  admin.Stop();
+  client.Close();
+  server.Stop();
   service.Shutdown();
 }
 

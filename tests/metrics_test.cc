@@ -458,8 +458,6 @@ void ExpectSameStats(const ServiceStats& a, const ServiceStats& b) {
   EXPECT_EQ(a.rejected_rate_limit, b.rejected_rate_limit);
   EXPECT_EQ(a.rejected_inflight_bytes, b.rejected_inflight_bytes);
   EXPECT_EQ(a.rejected_queue_watermark, b.rejected_queue_watermark);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
   EXPECT_EQ(a.mutations_applied, b.mutations_applied);
   EXPECT_EQ(a.rejected_mutations, b.rejected_mutations);
   EXPECT_EQ(a.points_served, b.points_served);
