@@ -9,6 +9,7 @@
 //   * B-tree node byte budget (the paper picked 256 B as most efficient)
 
 #include <cstdio>
+#include <string>
 
 #include "act/act.h"
 #include "bench/bench_common.h"
@@ -135,7 +136,9 @@ int Run(int argc, char** argv) {
                             ids.size() / timer.ElapsedSeconds() / 1e6);
     }
     batch.AddRow({"scalar", util::TablePrinter::Fmt(scalar_best, 2)});
-    batch.AddRow({"batched x8", util::TablePrinter::Fmt(batch_best, 2)});
+    batch.AddRow({"batched x" +
+                      std::to_string(act::AdaptiveCellTrie::kProbeGroup),
+                  util::TablePrinter::Fmt(batch_best, 2)});
     Emit(env, batch);
   }
 

@@ -27,8 +27,10 @@ run_preset() {
 
 # The one list of suites that run under TSan (CI calls `check.sh tsan`):
 # the serving layer, the net front-end, the store, the work-stealing pool,
-# and the observability plane hold all of the repo's cross-thread sharing.
-TSAN_FILTER='^(Service|Net|Store|WorkStealingPool|Delta|Metrics|Trace|Observability|Join2|CrossMatch|Subscribe|Async|Admin|Profiler)'
+# and the observability plane hold all of the repo's cross-thread sharing;
+# JoinKernel runs the multi-threaded join kernel, whose threads share only
+# the ParallelFor block counter next to their own buffers.
+TSAN_FILTER='^(Service|Net|Store|WorkStealingPool|Delta|Metrics|Trace|Observability|Join2|JoinKernel|CrossMatch|Subscribe|Async|Admin|Profiler)'
 
 mode=${1:-release}
 [ $# -gt 0 ] && shift

@@ -111,17 +111,13 @@ void AdaptiveCellTrie::InsertCell(const CellId& cell, TaggedEntry value,
 
 void AdaptiveCellTrie::ProbeBatch(const uint64_t* leaf_cell_ids, uint64_t n,
                                   TaggedEntry* out) const {
-  // Process lookups in groups; within a group all traversals advance one
-  // level per round, so the (likely cache-missing) node reads of up to
-  // kGroup independent probes are in flight together.
-  constexpr int kGroup = 8;
-  uint64_t base = 0;
-  while (base < n) {
-    int m = static_cast<int>(std::min<uint64_t>(kGroup, n - base));
-    TaggedEntry entry[kGroup];
-    uint64_t key[kGroup];
-    int offset[kGroup];
-    int live = 0;
+  for (uint64_t base = 0; base < n; base += kProbeGroup) {
+    const int m = static_cast<int>(std::min<uint64_t>(kProbeGroup, n - base));
+    TaggedEntry* entry = out + base;
+    uint64_t key[kProbeGroup];
+    int offset[kProbeGroup];
+    int live[kProbeGroup];  // group positions of probes still descending
+    int num_live = 0;
     for (int k = 0; k < m; ++k) {
       uint64_t id = leaf_cell_ids[base + k];
       const Face& face = faces_[id >> CellId::kPosBits];
@@ -131,24 +127,32 @@ void AdaptiveCellTrie::ProbeBatch(const uint64_t* leaf_cell_ids, uint64_t n,
         entry[k] = kSentinelEntry;
       } else {
         entry[k] = face.root;
-        if (entry[k] != kSentinelEntry && !IsValue(entry[k])) ++live;
+        if (entry[k] != kSentinelEntry && !IsValue(entry[k])) {
+          live[num_live++] = k;
+        }
       }
     }
-    while (live > 0) {
-      live = 0;
-      for (int k = 0; k < m; ++k) {
-        TaggedEntry e = entry[k];
-        if (e == kSentinelEntry || IsValue(e)) continue;
+    const TaggedEntry* slot[kProbeGroup];
+    while (num_live > 0) {
+      // One level for every live probe: all slot addresses first, then all
+      // loads. The loads do not depend on one another, so their misses
+      // overlap instead of forming one chain per probe.
+      for (int j = 0; j < num_live; ++j) {
+        const int k = live[j];
         uint64_t chunk =
             (key[k] >> (64 - offset[k] - bits_per_level_)) & slot_mask_;
-        e = PointerOf(e)[chunk];
+        slot[j] = PointerOf(entry[k]) + chunk;
         offset[k] += bits_per_level_;
-        entry[k] = e;
-        if (e != kSentinelEntry && !IsValue(e)) ++live;
       }
+      int still = 0;
+      for (int j = 0; j < num_live; ++j) {
+        const int k = live[j];
+        TaggedEntry e = *slot[j];
+        entry[k] = e;
+        if (e != kSentinelEntry && !IsValue(e)) live[still++] = k;
+      }
+      num_live = still;
     }
-    for (int k = 0; k < m; ++k) out[base + k] = entry[k];
-    base += m;
   }
 }
 

@@ -84,10 +84,16 @@ class AdaptiveCellTrie {
   /// depth, paper Table 4).
   TaggedEntry ProbeCounting(uint64_t leaf_cell_id, int* depth) const;
 
-  /// Batched probe: walks `n` lookups in lockstep so the memory accesses of
-  /// independent traversals overlap (the probe phase is "bound by memory
-  /// access latencies", Sec. 4.1; the authors' follow-up work attacks the
-  /// same bottleneck with SIMD). Results are written to out[0..n).
+  /// Probes per lockstep group in ProbeBatch.
+  static constexpr int kProbeGroup = 32;
+
+  /// Batched probe, the descend pass of the join kernel (join.h): walks
+  /// the lookups in groups of kProbeGroup. Each round first computes the
+  /// slot address of every probe still descending in its group, then loads
+  /// them all, so the cache misses of up to kProbeGroup independent
+  /// traversals are in flight together (the probe phase is "bound by memory
+  /// access latencies", Sec. 4.1). Results equal Probe() and are written to
+  /// out[0..n).
   void ProbeBatch(const uint64_t* leaf_cell_ids, uint64_t n,
                   TaggedEntry* out) const;
 

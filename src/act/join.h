@@ -8,15 +8,28 @@
 //   * exact mode: refine candidate hits with the O(edges) ray-tracing PIP
 //     test.
 //
+// ExecuteJoin and ExecuteJoinPairs run one blocked kernel. Each block of
+// kJoinBlock points goes through three passes:
+//   1. descend: one Index::ProbeBatch call over the block's cell ids (the
+//      trie walks them in lockstep groups, so the cache misses of
+//      independent descents are in flight together);
+//   2. visit: each entry's references are walked; true hits (and, in
+//      approximate mode, candidates) are results, exact-mode candidates
+//      are gathered as (polygon id, point) pairs;
+//   3. refine: every gathered candidate's polygon and first ring are
+//      prefetched, then the raw PIP test runs over the gathered pairs.
+//
 // ExecuteJoin is templated over the index so ACT and the B-tree /
-// sorted-vector baselines run byte-identical driver code; only Probe()
-// differs. Multi-threading follows the paper: worker threads fetch batches
-// of 16 points via an atomic counter and keep thread-local per-polygon
-// counters that are aggregated at the end.
+// sorted-vector baselines run byte-identical join code; only the probe
+// differs. Multi-threading follows the paper's scheme with the block as the
+// unit: worker threads fetch one block of kJoinBlock points at a time via
+// an atomic counter and keep thread-local per-polygon counters that are
+// aggregated at the end.
 
 #ifndef ACTJOIN_ACT_JOIN_H_
 #define ACTJOIN_ACT_JOIN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -67,9 +80,9 @@ struct JoinStats {
   std::vector<uint64_t> counts;  // per-polygon result counts
 
   /// Adds `other`'s scalar probe counters into this one — every field
-  /// except num_points, seconds, and counts. The shared merge step of the
-  /// sharded and cache-assisted executors, whose per-polygon counts need
-  /// site-specific id remapping and so stay with the caller.
+  /// except num_points, seconds, and counts. The shared merge step of
+  /// ExecuteJoin's threads and of the sharded executors, whose per-polygon
+  /// counts need site-specific id remapping and so stay with the caller.
   void AccumulateCounters(const JoinStats& other) {
     matched_points += other.matched_points;
     result_pairs += other.result_pairs;
@@ -89,8 +102,91 @@ struct JoinStats {
   }
 };
 
-/// Runs the join. `Index` must provide:
-///   TaggedEntry Probe(uint64_t leaf_cell_id) const;
+/// Points per block of the join kernel; also ParallelFor's fetch unit for
+/// ExecuteJoin.
+inline constexpr uint64_t kJoinBlock = 256;
+
+namespace internal {
+
+/// An exact-mode candidate awaiting refinement: the polygon and the
+/// point's offset within its block.
+struct RefineCandidate {
+  uint32_t polygon_id;
+  uint32_t point;
+};
+
+/// The join kernel over points [begin, end), end - begin <= kJoinBlock.
+/// Calls emit(point index, polygon id) once per result pair and adds to
+/// the probe counters of `c` (AccumulateCounters' fields). `candidates` is
+/// the calling thread's reusable refine buffer.
+template <typename Index, typename Emit>
+void JoinBlock(const Index& index, const LookupTable& table,
+               const JoinInput& input,
+               const std::vector<geom::Polygon>& polygons, bool exact,
+               uint64_t begin, uint64_t end,
+               std::vector<RefineCandidate>* candidates, JoinStats* c,
+               Emit&& emit) {
+  const uint32_t m = static_cast<uint32_t>(end - begin);
+  TaggedEntry entries[kJoinBlock];
+  bool matched[kJoinBlock] = {};
+  auto hit = [&](uint32_t k, uint32_t pid) {
+    ++c->result_pairs;
+    matched[k] = true;
+    emit(begin + k, pid);
+  };
+
+  // 1. Descend.
+  index.ProbeBatch(input.cell_ids.data() + begin, m, entries);
+
+  // 2. Visit.
+  candidates->clear();
+  for (uint32_t k = 0; k < m; ++k) {
+    bool had_candidate = false;
+    auto visit = [&](uint32_t pid, bool true_hit) {
+      if (true_hit) {
+        ++c->true_hit_refs;
+        hit(k, pid);
+        return;
+      }
+      ++c->candidate_refs;
+      had_candidate = true;
+      if (exact) {
+        candidates->push_back({pid, k});
+      } else {
+        hit(k, pid);  // approximate: the candidate is a hit
+      }
+    };
+    VisitRefs(entries[k], table, visit);  // none for the sentinel
+    if (!had_candidate) ++c->sth_points;  // no refinement needed
+  }
+
+  // 3. Refine. The prefetches overlap the misses on the candidates'
+  // polygons and vertex arrays; a polygon without rings has no vertex
+  // array to touch.
+  for (const RefineCandidate& cand : *candidates) {
+    __builtin_prefetch(&polygons[cand.polygon_id]);
+  }
+  for (const RefineCandidate& cand : *candidates) {
+    const std::vector<geom::Ring>& rings = polygons[cand.polygon_id].rings();
+    if (!rings.empty()) __builtin_prefetch(rings.front().data());
+  }
+  c->pip_tests += candidates->size();
+  for (const RefineCandidate& cand : *candidates) {
+    if (geom::ContainsPoint(polygons[cand.polygon_id],
+                            input.points[begin + cand.point])) {
+      ++c->pip_hits;
+      hit(cand.point, cand.polygon_id);
+    }
+  }
+  for (uint32_t k = 0; k < m; ++k) c->matched_points += matched[k];
+}
+
+}  // namespace internal
+
+/// Runs the join. `Index` must provide
+///   void ProbeBatch(const uint64_t* leaf_cell_ids, uint64_t n,
+///                   TaggedEntry* out) const;
+/// writing the same entries a per-id Probe would.
 template <typename Index>
 JoinStats ExecuteJoin(const Index& index, const LookupTable& table,
                       const JoinInput& input,
@@ -100,83 +196,30 @@ JoinStats ExecuteJoin(const Index& index, const LookupTable& table,
   const bool exact = opts.mode == JoinMode::kExact;
   const uint64_t n = input.size();
 
-  struct ThreadState {
+  // Cache-line aligned so neighbouring threads' counters never share one.
+  struct alignas(64) ThreadState {
     std::vector<uint64_t> counts;
-    uint64_t matched = 0, pairs = 0, true_refs = 0, cand_refs = 0;
-    uint64_t pip_tests = 0, pip_hits = 0, sth = 0;
+    std::vector<internal::RefineCandidate> candidates;
+    JoinStats probe;  // counters only
   };
   std::vector<ThreadState> states(threads);
   for (auto& s : states) s.counts.assign(polygons.size(), 0);
 
   util::WallTimer timer;
-  util::ParallelFor(n, threads, [&](uint64_t begin, uint64_t end, int tid) {
-    ThreadState& st = states[tid];
-    for (uint64_t p = begin; p < end; ++p) {
-      TaggedEntry entry = index.Probe(input.cell_ids[p]);
-      if (entry == kSentinelEntry) {
-        ++st.sth;  // no cell, no refinement needed
-        continue;
-      }
-      uint64_t pairs_before = st.pairs;
-      bool had_candidate = false;
-      auto visit = [&](uint32_t pid, bool true_hit) {
-        if (true_hit) {
-          ++st.true_refs;
-          ++st.counts[pid];
-          ++st.pairs;
-          return;
-        }
-        ++st.cand_refs;
-        had_candidate = true;
-        if (!exact) {
-          // Approximate: emit the candidate as a hit.
-          ++st.counts[pid];
-          ++st.pairs;
-          return;
-        }
-        ++st.pip_tests;
-        if (geom::ContainsPoint(polygons[pid], input.points[p])) {
-          ++st.pip_hits;
-          ++st.counts[pid];
-          ++st.pairs;
-        }
-      };
-      switch (KindOf(entry)) {
-        case EntryKind::kOneRef: {
-          PolygonRef r = FirstRefOf(entry);
-          visit(r.polygon_id, r.interior);
-          break;
-        }
-        case EntryKind::kTwoRefs: {
-          PolygonRef a = FirstRefOf(entry);
-          PolygonRef b = SecondRefOf(entry);
-          visit(a.polygon_id, a.interior);
-          visit(b.polygon_id, b.interior);
-          break;
-        }
-        case EntryKind::kTableOffset:
-          table.VisitEntry(TableOffsetOf(entry), visit);
-          break;
-        case EntryKind::kPointer:
-          break;  // unreachable: sentinel handled above
-      }
-      if (st.pairs != pairs_before) ++st.matched;
-      if (!had_candidate) ++st.sth;
-    }
-  });
+  util::ParallelFor(
+      n, threads, kJoinBlock, [&](uint64_t begin, uint64_t end, int tid) {
+        ThreadState& st = states[tid];
+        internal::JoinBlock(index, table, input, polygons, exact, begin, end,
+                            &st.candidates, &st.probe,
+                            [&](uint64_t, uint32_t pid) { ++st.counts[pid]; });
+      });
 
   JoinStats out;
   out.seconds = timer.ElapsedSeconds();
   out.num_points = n;
   out.counts.assign(polygons.size(), 0);
   for (const ThreadState& st : states) {
-    out.matched_points += st.matched;
-    out.result_pairs += st.pairs;
-    out.true_hit_refs += st.true_refs;
-    out.candidate_refs += st.cand_refs;
-    out.pip_tests += st.pip_tests;
-    out.pip_hits += st.pip_hits;
-    out.sth_points += st.sth;
+    out.AccumulateCounters(st.probe);
     for (size_t k = 0; k < out.counts.size(); ++k) {
       out.counts[k] += st.counts[k];
     }
@@ -185,7 +228,8 @@ JoinStats ExecuteJoin(const Index& index, const LookupTable& table,
 }
 
 /// Materializing variant used by tests and examples: returns (point
-/// index, polygon id) pairs instead of counts. Single-threaded.
+/// index, polygon id) pairs instead of counts. Single-threaded; runs the
+/// same kernel as ExecuteJoin.
 ///
 /// Ordering contract: the output is sorted ascending by (point index,
 /// polygon id) and duplicate-free. This is a stable API guarantee, not an
@@ -197,36 +241,15 @@ std::vector<std::pair<uint64_t, uint32_t>> ExecuteJoinPairs(
     const Index& index, const LookupTable& table, const JoinInput& input,
     const std::vector<geom::Polygon>& polygons, JoinMode mode) {
   std::vector<std::pair<uint64_t, uint32_t>> out;
-  const bool exact = mode == JoinMode::kExact;
-  for (uint64_t p = 0; p < input.size(); ++p) {
-    TaggedEntry entry = index.Probe(input.cell_ids[p]);
-    if (entry == kSentinelEntry) continue;
-    auto visit = [&](uint32_t pid, bool true_hit) {
-      if (true_hit || !exact ||
-          geom::ContainsPoint(polygons[pid], input.points[p])) {
-        out.emplace_back(p, pid);
-      }
-    };
-    switch (KindOf(entry)) {
-      case EntryKind::kOneRef: {
-        PolygonRef r = FirstRefOf(entry);
-        visit(r.polygon_id, r.interior);
-        break;
-      }
-      case EntryKind::kTwoRefs: {
-        PolygonRef a = FirstRefOf(entry);
-        PolygonRef b = SecondRefOf(entry);
-        visit(a.polygon_id, a.interior);
-        visit(b.polygon_id, b.interior);
-        break;
-      }
-      case EntryKind::kTableOffset:
-        table.VisitEntry(TableOffsetOf(entry), visit);
-        break;
-      case EntryKind::kPointer:
-        break;
-    }
-  }
+  std::vector<internal::RefineCandidate> candidates;
+  JoinStats counters;  // the kernel's tally; pairs are the result here
+  util::ParallelFor(
+      input.size(), 1, kJoinBlock, [&](uint64_t begin, uint64_t end, int) {
+        internal::JoinBlock(
+            index, table, input, polygons, mode == JoinMode::kExact, begin,
+            end, &candidates, &counters,
+            [&](uint64_t p, uint32_t pid) { out.emplace_back(p, pid); });
+      });
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "act/polygon_ref.h"
+#include "act/tagged_entry.h"
 
 namespace actjoin::act {
 
@@ -43,6 +44,32 @@ class LookupTable {
   friend class LookupTableBuilder;
   std::vector<uint32_t> data_;
 };
+
+/// Visits every polygon reference of a probed entry as (polygon_id,
+/// is_true_hit) pairs: the one or two inlined references, or the table
+/// list the entry points to. The sentinel (and any pointer) has none.
+template <typename Fn>
+void VisitRefs(TaggedEntry entry, const LookupTable& table, Fn&& fn) {
+  switch (KindOf(entry)) {
+    case EntryKind::kOneRef: {
+      PolygonRef r = FirstRefOf(entry);
+      fn(r.polygon_id, r.interior);
+      break;
+    }
+    case EntryKind::kTwoRefs: {
+      PolygonRef a = FirstRefOf(entry);
+      PolygonRef b = SecondRefOf(entry);
+      fn(a.polygon_id, a.interior);
+      fn(b.polygon_id, b.interior);
+      break;
+    }
+    case EntryKind::kTableOffset:
+      table.VisitEntry(TableOffsetOf(entry), fn);
+      break;
+    case EntryKind::kPointer:
+      break;
+  }
+}
 
 class LookupTableBuilder {
  public:

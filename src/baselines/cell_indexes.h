@@ -12,6 +12,7 @@
 #ifndef ACTJOIN_BASELINES_CELL_INDEXES_H_
 #define ACTJOIN_BASELINES_CELL_INDEXES_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,11 @@ class SortedVectorIndex {
   explicit SortedVectorIndex(const act::EncodedCovering& enc);
 
   act::TaggedEntry Probe(uint64_t leaf_cell_id) const;
+  /// The join kernel's descend pass (act/join.h): one Probe per id.
+  void ProbeBatch(const uint64_t* leaf_cell_ids, uint64_t n,
+                  act::TaggedEntry* out) const {
+    for (uint64_t k = 0; k < n; ++k) out[k] = Probe(leaf_cell_ids[k]);
+  }
 
   uint64_t MemoryBytes() const { return cells_->size() * 16; }
 
@@ -44,6 +50,11 @@ class BTreeCellIndex {
                           size_t node_bytes = 256);
 
   act::TaggedEntry Probe(uint64_t leaf_cell_id) const;
+  /// The join kernel's descend pass (act/join.h): one Probe per id.
+  void ProbeBatch(const uint64_t* leaf_cell_ids, uint64_t n,
+                  act::TaggedEntry* out) const {
+    for (uint64_t k = 0; k < n; ++k) out[k] = Probe(leaf_cell_ids[k]);
+  }
 
   uint64_t MemoryBytes() const { return tree_.MemoryBytes(); }
   const BTree& tree() const { return tree_; }

@@ -393,8 +393,8 @@ act::JoinStats ShardedIndex::JoinStaticSplit(
   RouteBatch(*this, input, &offsets, &cells, &points, nullptr);
 
   // The original executor: shards run concurrently, each owning an equal
-  // static slice of the thread budget for its inner batch-of-16 probe
-  // loop. Under-widths hot shards on skewed batches — which is the point
+  // static slice of the thread budget for its inner blocked join
+  // kernel. Under-widths hot shards on skewed batches — which is the point
   // of keeping it: the bench smoke measures the stealing Join against it.
   const int ns = num_shards();
   const int budget =
@@ -483,31 +483,11 @@ void ShardedIndex::ProbeCell(uint64_t leaf_cell_id,
   out->clear();
   const Shard& shard = shards_[static_cast<size_t>(ShardOf(leaf_cell_id))];
   if (shard.index == nullptr) return;
-  act::TaggedEntry entry = shard.index->trie().Probe(leaf_cell_id);
-  if (entry == act::kSentinelEntry) return;
-  auto visit = [&](uint32_t pid, bool interior) {
-    out->push_back({pid, interior});
-  };
-  switch (act::KindOf(entry)) {
-    case act::EntryKind::kOneRef: {
-      act::PolygonRef r = act::FirstRefOf(entry);
-      visit(r.polygon_id, r.interior);
-      break;
-    }
-    case act::EntryKind::kTwoRefs: {
-      act::PolygonRef a = act::FirstRefOf(entry);
-      act::PolygonRef b = act::SecondRefOf(entry);
-      visit(a.polygon_id, a.interior);
-      visit(b.polygon_id, b.interior);
-      break;
-    }
-    case act::EntryKind::kTableOffset:
-      shard.index->encoded().table.VisitEntry(act::TableOffsetOf(entry),
-                                              visit);
-      break;
-    case act::EntryKind::kPointer:
-      break;  // unreachable: sentinel handled above
-  }
+  act::VisitRefs(shard.index->trie().Probe(leaf_cell_id),
+                 shard.index->encoded().table,
+                 [&](uint32_t pid, bool interior) {
+                   out->push_back({pid, interior});
+                 });
 }
 
 uint64_t ShardedIndex::MemoryBytes() const {

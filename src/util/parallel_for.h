@@ -2,8 +2,9 @@
 //
 // The paper parallelizes index probing by having worker threads fetch
 // batches of 16 tuples at a time, synchronizing on a single atomic counter
-// (Sec. 3.4). ParallelFor implements exactly that scheme and is reused by
-// every join driver and by the covering computation.
+// (Sec. 3.4). ParallelFor implements that scheme. The point-polygon join
+// runs it with its kernel's block (act::kJoinBlock points) as the batch;
+// the covering computation and other per-polygon loops reuse it too.
 //
 // ParallelFor is a template over the callable so the per-batch dispatch in
 // the hot probe loop is a direct (inlinable) call, not a type-erased

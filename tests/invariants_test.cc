@@ -111,21 +111,35 @@ TEST(BatchProbe, HandlesPartialGroups) {
   Grid grid;
   act::SuperCoveringBuilder b;
   b.Insert(grid.CellAt({40.7, -74.0}, 10), OneRef(1, true));
+  b.Insert(grid.CellAt({40.8, -73.9}, 24), OneRef(2, true));
   act::SuperCovering sc = b.Build();
   act::EncodedCovering enc = act::Encode(sc);
-  act::AdaptiveCellTrie trie(enc, {.bits_per_level = 8});
+  // A shallow hit, a deep hit and a miss in turn, so the lanes of a group
+  // stop descending at different levels.
+  const uint64_t kinds[3] = {grid.CellAt({40.7, -74.0}).id(),
+                             grid.CellAt({40.8, -73.9}).id(),
+                             grid.CellAt({40.9, -73.5}).id()};
 
   // n smaller than, equal to, and not a multiple of the group size.
-  for (uint64_t n : {1, 3, 8, 9, 17}) {
-    std::vector<uint64_t> queries(n, grid.CellAt({40.7, -74.0}).id());
-    std::vector<act::TaggedEntry> out(n, ~uint64_t{0});
-    trie.ProbeBatch(queries.data(), n, out.data());
-    for (uint64_t k = 0; k < n; ++k) {
-      ASSERT_EQ(out[k], trie.Probe(queries[k]));
+  constexpr uint64_t g = act::AdaptiveCellTrie::kProbeGroup;
+  for (int bits : {2, 4, 8}) {
+    act::AdaptiveCellTrie trie(enc, {.bits_per_level = bits});
+    ASSERT_NE(trie.Probe(kinds[0]), act::kSentinelEntry);
+    ASSERT_NE(trie.Probe(kinds[1]), act::kSentinelEntry);
+    ASSERT_EQ(trie.Probe(kinds[2]), act::kSentinelEntry);
+    for (uint64_t n : {uint64_t{1}, g - 1, g, g + 1, 2 * g + 1}) {
+      std::vector<uint64_t> queries(n);
+      for (uint64_t k = 0; k < n; ++k) queries[k] = kinds[k % 3];
+      std::vector<act::TaggedEntry> out(n, ~uint64_t{0});
+      trie.ProbeBatch(queries.data(), n, out.data());
+      for (uint64_t k = 0; k < n; ++k) {
+        ASSERT_EQ(out[k], trie.Probe(queries[k]))
+            << "bits " << bits << " n " << n << " query " << k;
+      }
     }
+    // Empty batch is a no-op.
+    trie.ProbeBatch(nullptr, 0, nullptr);
   }
-  // Empty batch is a no-op.
-  trie.ProbeBatch(nullptr, 0, nullptr);
 }
 
 TEST(PerfCounters, StartStopProducesCycles) {

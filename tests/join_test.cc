@@ -1,6 +1,7 @@
 // Integration tests for the join algorithms: exactness against the
 // brute-force oracle, the approximate join's distance bound, training
-// effects, and multithreaded consistency.
+// effects, multithreaded consistency, and the blocked join kernel against a
+// scalar per-point reference.
 
 //
 // Seeding convention (full rationale in util_test.cc): random data comes
@@ -11,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "act/pipeline.h"
+#include "baselines/cell_indexes.h"
 #include "geo/grid.h"
 #include "geometry/pip.h"
 #include "util/random.h"
@@ -276,6 +279,202 @@ TEST(Training, IdempotentOnFullyRefinedArea) {
   TrainStats first = index.Train(history.AsJoinInput());
   TrainStats second = index.Train(history.AsJoinInput());
   EXPECT_LT(second.cells_split, first.cells_split);
+}
+
+// --- The blocked join kernel (ExecuteJoin / ExecuteJoinPairs) -------------
+
+// The scalar per-point loop the kernel replaced: probe one point, then
+// refine its candidates right away. Appends every refined polygon id to
+// `refined` when given.
+template <typename Index>
+JoinStats ScalarReferenceJoin(const Index& index, const LookupTable& table,
+                              const JoinInput& input,
+                              const std::vector<geom::Polygon>& polygons,
+                              JoinMode mode,
+                              std::vector<uint32_t>* refined = nullptr) {
+  JoinStats st;
+  st.num_points = input.size();
+  st.counts.assign(polygons.size(), 0);
+  for (uint64_t p = 0; p < input.size(); ++p) {
+    const uint64_t pairs_before = st.result_pairs;
+    bool had_candidate = false;
+    auto visit = [&](uint32_t pid, bool true_hit) {
+      bool is_hit = true_hit;
+      if (true_hit) {
+        ++st.true_hit_refs;
+      } else {
+        ++st.candidate_refs;
+        had_candidate = true;
+        is_hit = true;
+        if (mode == JoinMode::kExact) {
+          ++st.pip_tests;
+          if (refined != nullptr) refined->push_back(pid);
+          is_hit = geom::ContainsPoint(polygons[pid], input.points[p]);
+          if (is_hit) ++st.pip_hits;
+        }
+      }
+      if (is_hit) {
+        ++st.counts[pid];
+        ++st.result_pairs;
+      }
+    };
+    TaggedEntry entry = index.Probe(input.cell_ids[p]);
+    switch (KindOf(entry)) {
+      case EntryKind::kOneRef: {
+        PolygonRef r = FirstRefOf(entry);
+        visit(r.polygon_id, r.interior);
+        break;
+      }
+      case EntryKind::kTwoRefs: {
+        PolygonRef a = FirstRefOf(entry);
+        PolygonRef b = SecondRefOf(entry);
+        visit(a.polygon_id, a.interior);
+        visit(b.polygon_id, b.interior);
+        break;
+      }
+      case EntryKind::kTableOffset:
+        table.VisitEntry(TableOffsetOf(entry), visit);
+        break;
+      case EntryKind::kPointer:
+        break;
+    }
+    if (st.result_pairs != pairs_before) ++st.matched_points;
+    if (!had_candidate) ++st.sth_points;
+  }
+  return st;
+}
+
+void ExpectSameJoin(const JoinStats& got, const JoinStats& want,
+                    const std::string& where) {
+  EXPECT_EQ(got.num_points, want.num_points) << where;
+  EXPECT_EQ(got.matched_points, want.matched_points) << where;
+  EXPECT_EQ(got.result_pairs, want.result_pairs) << where;
+  EXPECT_EQ(got.true_hit_refs, want.true_hit_refs) << where;
+  EXPECT_EQ(got.candidate_refs, want.candidate_refs) << where;
+  EXPECT_EQ(got.pip_tests, want.pip_tests) << where;
+  EXPECT_EQ(got.pip_hits, want.pip_hits) << where;
+  EXPECT_EQ(got.sth_points, want.sth_points) << where;
+  EXPECT_EQ(got.counts, want.counts) << where;
+}
+
+// Sizes around the probe group (kProbeGroup = 32) and the block
+// (kJoinBlock = 256), plus a long run ending in a partial block.
+constexpr uint64_t kKernelSizes[] = {0, 1, 31, 32, 33, 255, 256, 257, 4097};
+static_assert(AdaptiveCellTrie::kProbeGroup == 32 && kJoinBlock == 256,
+              "kKernelSizes straddles these edges; re-derive it");
+
+TEST(JoinKernel, EqualsScalarReferenceForEveryIndexModeAndWidth) {
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.05);
+  BuildOptions opts;
+  opts.threads = 1;
+  PolygonIndex index = PolygonIndex::Build(ds.polygons, grid, opts);
+  const EncodedCovering& enc = index.encoded();
+  baselines::SortedVectorIndex lb(enc);
+  baselines::BTreeCellIndex gbt(enc);
+  // A widened box so the points include sentinel misses, true hits and
+  // candidates.
+  geom::Rect wide = ds.mbr;
+  wide.lo.x -= 0.05;
+  wide.hi.x += 0.05;
+  wide.lo.y -= 0.05;
+  wide.hi.y += 0.05;
+  wl::PointSet pts = wl::SyntheticUniformPoints(wide, 4097, grid, 21);
+
+  auto check = [&](const auto& idx, const char* name) {
+    for (uint64_t n : kKernelSizes) {
+      JoinInput input = pts.Prefix(n);
+      for (JoinMode mode : {JoinMode::kExact, JoinMode::kApproximate}) {
+        JoinStats want =
+            ScalarReferenceJoin(idx, enc.table, input, ds.polygons, mode);
+        for (int threads : {1, 4}) {
+          std::string where = std::string(name) + " n=" + std::to_string(n) +
+                              (mode == JoinMode::kExact ? " exact" : " approx") +
+                              " threads=" + std::to_string(threads);
+          ExpectSameJoin(ExecuteJoin(idx, enc.table, input, ds.polygons,
+                                     {mode, threads}),
+                         want, where);
+        }
+      }
+      EXPECT_EQ(ExecuteJoinPairs(idx, enc.table, input, ds.polygons,
+                                 JoinMode::kExact),
+                BruteForceJoinPairs(input, ds.polygons))
+          << name << " n=" << n;
+    }
+  };
+  check(index.trie(), "ACT");
+  check(lb, "LB");
+  check(gbt, "GBT");
+
+  // The full run exercises every path through the kernel.
+  JoinStats full = index.Join(pts.AsJoinInput(), {JoinMode::kExact, 1});
+  EXPECT_GT(full.true_hit_refs, 0u);
+  EXPECT_GT(full.pip_hits, 0u);
+  EXPECT_LT(full.pip_hits, full.pip_tests);
+  EXPECT_GT(full.sth_points, 0u);
+  EXPECT_LT(full.matched_points, full.num_points);
+}
+
+TEST(JoinKernel, RemovedPolygonIsNeverRefined) {
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.05);
+  BuildOptions opts;
+  opts.threads = 1;
+  PolygonIndex index = PolygonIndex::Build(ds.polygons, grid, opts);
+  const uint32_t removed = 3;
+  // Points over the removed polygon's box: before removal it is refined.
+  wl::PointSet pts =
+      wl::SyntheticUniformPoints(ds.polygons[removed].mbr(), 2000, grid, 22);
+  std::vector<uint32_t> refined;
+  ScalarReferenceJoin(index.trie(), index.encoded().table,
+                      pts.AsJoinInput(), ds.polygons, JoinMode::kExact,
+                      &refined);
+  ASSERT_NE(std::find(refined.begin(), refined.end(), removed),
+            refined.end());
+
+  index.RemovePolygons(std::vector<uint32_t>{removed});
+  // The id still has a slot in the polygon vector; here it holds a polygon
+  // with no rings, which the refine pass must never reach.
+  std::vector<geom::Polygon> polygons = index.polygons();
+  ASSERT_EQ(polygons.size(), ds.polygons.size());
+  polygons[removed] = geom::Polygon();
+
+  refined.clear();
+  JoinStats want =
+      ScalarReferenceJoin(index.trie(), index.encoded().table,
+                          pts.AsJoinInput(), polygons, JoinMode::kExact,
+                          &refined);
+  EXPECT_EQ(std::find(refined.begin(), refined.end(), removed),
+            refined.end());
+  for (int threads : {1, 4}) {
+    JoinStats got =
+        ExecuteJoin(index.trie(), index.encoded().table, pts.AsJoinInput(),
+                    polygons, {JoinMode::kExact, threads});
+    ExpectSameJoin(got, want, "threads=" + std::to_string(threads));
+    EXPECT_EQ(got.counts[removed], 0u);
+  }
+}
+
+TEST(JoinKernel, RinglessCandidateIsTestedWithoutTouchingVertices) {
+  // A candidate reference to a polygon with no rings: the refine pass
+  // prefetches nothing for it and the PIP test rejects it.
+  Grid grid;
+  SuperCoveringBuilder b;
+  RefList refs;
+  refs.push_back({0, false});
+  b.Insert(grid.CellAt({40.7, -74.0}, 10), refs);
+  SuperCovering sc = b.Build();
+  EncodedCovering enc = Encode(sc);
+  AdaptiveCellTrie trie(enc, {.bits_per_level = 8});
+  std::vector<geom::Polygon> polygons(1);
+  std::vector<uint64_t> ids(40, grid.CellAt({40.7, -74.0}).id());
+  std::vector<geom::Point> points(40, geom::Point{-74.0, 40.7});
+  JoinStats st = ExecuteJoin(trie, enc.table, JoinInput{ids, points},
+                             polygons, {JoinMode::kExact, 1});
+  EXPECT_EQ(st.candidate_refs, 40u);
+  EXPECT_EQ(st.pip_tests, 40u);
+  EXPECT_EQ(st.pip_hits, 0u);
+  EXPECT_EQ(st.result_pairs, 0u);
 }
 
 TEST(BruteForce, OracleSanity) {
