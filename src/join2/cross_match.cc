@@ -394,14 +394,7 @@ std::vector<std::pair<uint32_t, uint32_t>> CrossMatch(
     auto run_task = [&](uint64_t t) {
       slots[t] = Descend(a, b, tasks[t]);
     };
-    if (pool != nullptr && pool->num_workers() > 0) {
-      pool->Run(tasks.size(), run_task);
-    } else if (width <= 1 || tasks.size() <= 1) {
-      for (uint64_t t = 0; t < tasks.size(); ++t) run_task(t);
-    } else {
-      util::WorkStealingPool transient(width - 1);
-      transient.Run(tasks.size(), run_task);
-    }
+    util::RunTasks(pool, width, tasks.size(), run_task);
 
     // Phase 3 (serial): merge slots in task order, canonicalize globally.
     local.pruned_pairs = expansion.pruned_pairs;
@@ -461,14 +454,7 @@ std::vector<std::pair<uint32_t, uint32_t>> CrossMatch(
       const uint64_t hi = std::min(n, lo + kRefineChunk);
       for (uint64_t i = lo; i < hi; ++i) refine(i);
     };
-    if (pool != nullptr && pool->num_workers() > 0) {
-      pool->Run(num_chunks, run_chunk);
-    } else if (width <= 1 || num_chunks <= 1) {
-      for (uint64_t chunk = 0; chunk < num_chunks; ++chunk) run_chunk(chunk);
-    } else {
-      util::WorkStealingPool transient(width - 1);
-      transient.Run(num_chunks, run_chunk);
-    }
+    util::RunTasks(pool, width, num_chunks, run_chunk);
     local.refined_pairs = refined.load(std::memory_order_relaxed);
     for (uint64_t i = 0; i < n; ++i) {
       if (keep[i]) out.emplace_back(candidates[i].a, candidates[i].b);

@@ -32,10 +32,11 @@
 //
 // Execution rides the service's machinery end to end: requests run on
 // JoinService workers via TryRunAsync (service backpressure applies),
-// the descent parallelizes on the service's shared pool (or a transient
-// threads_per_join-wide pool), both datasets are charged through the
-// per-dataset traffic counters, completions feed the slow-query log, and
-// per-join figures land in the service's MetricsRegistry.
+// the descent and refinement run threads_per_join wide on the service's
+// join pool (inline at the default width of 1), both datasets are charged
+// through the per-dataset traffic counters, completions feed the
+// slow-query log, and per-join figures land in the service's
+// MetricsRegistry.
 
 #ifndef ACTJOIN_JOIN2_DATASET_CROSS_MATCHER_H_
 #define ACTJOIN_JOIN2_DATASET_CROSS_MATCHER_H_

@@ -62,16 +62,12 @@ JoinService::JoinService(Snapshot initial, const ServiceOptions& opts)
 JoinService::JoinService(const ServiceOptions& opts)
     : opts_(opts),
       queue_(std::max<size_t>(1, opts.queue_capacity)),
+      join_pool_(std::max(1, opts.threads_per_join) - 1),
       stats_(ResolveWorkers(opts.worker_threads)),
       slow_queries_(opts.slow_query_log_capacity) {
   opts_.queue_capacity = queue_.capacity();
   opts_.worker_threads = ResolveWorkers(opts_.worker_threads);
   if (opts_.threads_per_join < 1) opts_.threads_per_join = 1;
-  if (opts_.shared_pool_workers < 0) opts_.shared_pool_workers = 0;
-  if (opts_.shared_pool_workers > 0) {
-    join_pool_ =
-        std::make_unique<util::WorkStealingPool>(opts_.shared_pool_workers);
-  }
   // Same reservation discipline as the catalog's slot vector: reserve the
   // whole u16 id space so push_back in CountersFor never reallocates under
   // a concurrent lock-free read in Execute.
@@ -536,11 +532,11 @@ void JoinService::Execute(Request& req, int worker_id) {
   // just traced requests); the deltas ride the wire only when traced.
   const util::StagePerfCounters* stage_perf = StageCounters();
   const bool want_phases = traced || stage_perf != nullptr;
-  // With a shared pool the join's task units drain through it (and this
-  // worker helps); otherwise the executor is threads_per_join wide.
+  // The join's task units drain through the service pool (this worker
+  // helps); at threads_per_join = 1 it has no workers and runs inline.
   result.stats =
       snapshot->Join(input, {req.batch.mode, opts_.threads_per_join},
-                     join_pool_.get(), want_phases ? &phases : nullptr,
+                     &join_pool_, want_phases ? &phases : nullptr,
                      stage_perf);
   result.queue_wait_ms = queue_wait_ms;
   result.service_ms = service_timer.ElapsedMillis();

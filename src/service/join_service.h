@@ -62,20 +62,16 @@ struct ServiceOptions {
   /// Bounded request-queue capacity (backpressure threshold); clamped to
   /// >= 1 like the other options here.
   size_t queue_capacity = 256;
-  /// Probe width *inside* one request's join (the ShardedIndex::Join
-  /// thread budget). Default 1: with a pool of workers, cross-request
-  /// parallelism already saturates the cores without oversubscription.
-  /// Ignored when shared_pool_workers > 0 (the shared pool's width applies
-  /// instead).
+  /// Join width *inside* one request — the one width knob, for point
+  /// joins and crossmatches alike (clamped to >= 1). The service owns one
+  /// util::WorkStealingPool of threads_per_join - 1 workers, shared by
+  /// every worker's join: all concurrent requests' task units drain
+  /// through that fixed thread set (no per-request spawns, no nesting),
+  /// and the submitting worker helps, so a lone request on an idle
+  /// service runs threads_per_join wide. Default 1: the pool has no
+  /// threads and every join runs inline on its worker — with a pool of
+  /// workers, cross-request parallelism already saturates the cores.
   int threads_per_join = 1;
-  /// > 0: the service owns one util::WorkStealingPool with this many
-  /// worker threads, shared by every worker's join — all concurrent
-  /// requests' (shard, sub-range) task units drain through the same fixed
-  /// thread set instead of each join spawning threads_per_join threads
-  /// (no nested spawns, and a lone request on an idle service still runs
-  /// shared_pool_workers + 1 wide). 0 disables: each join is
-  /// threads_per_join wide on its own.
-  int shared_pool_workers = 0;
   /// Start the worker pool in the constructor. Tests set false to fill the
   /// queue deterministically, then call Start().
   bool autostart = true;
@@ -346,10 +342,12 @@ class JoinService {
   void RecordStageCounters(TraceStage stage,
                            const util::StageCounterSample& delta);
 
-  /// The shared join pool (null when ServiceOptions.shared_pool_workers
-  /// is 0). Tasks run via TryRunAsync may pass it to parallel executors;
-  /// it must never be used from *inside* one of its own pool tasks.
-  util::WorkStealingPool* shared_pool() { return join_pool_.get(); }
+  /// The service's join pool: threads_per_join - 1 workers, never null
+  /// (zero workers at the default width of 1). Pass it together with
+  /// options().threads_per_join to a parallel executor; tasks run via
+  /// TryRunAsync do so. It must never be used from *inside* one of its
+  /// own pool tasks.
+  util::WorkStealingPool* shared_pool() { return &join_pool_; }
 
   /// Charges one completed request of `points` work units against a
   /// dataset's traffic counters (points_served / completed). Joins charge
@@ -417,7 +415,10 @@ class JoinService {
   ServiceOptions opts_;
   ServiceCatalog catalog_;
   util::MpmcQueue<std::unique_ptr<Request>> queue_;
-  std::unique_ptr<util::WorkStealingPool> join_pool_;  // null when disabled
+  /// threads_per_join - 1 workers. ~JoinService() runs Shutdown(), which
+  /// joins every service worker, before any member is destroyed, so no
+  /// join is still running on this pool when it goes.
+  util::WorkStealingPool join_pool_;
   ServiceStatsRecorder stats_;
   std::unique_ptr<util::MetricsRegistry> metrics_;     // null when disabled
   SlowQueryLog slow_queries_;

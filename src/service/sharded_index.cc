@@ -281,29 +281,6 @@ std::vector<TaskUnit> DecomposeBatch(const ShardedIndex& index,
   return tasks;
 }
 
-// Runs run_task(t) for every task, `budget` wide: inline when the budget
-// or task count makes parallelism pointless, on the caller's shared pool
-// when one was provided, else on a transient pool sized so pool workers
-// plus this thread equal the budget.
-template <typename Fn>
-void RunTasks(size_t num_tasks, int budget, util::WorkStealingPool* pool,
-              Fn&& run_task) {
-  // A lone task (or a width-1 budget) runs inline on the caller even when
-  // a shared pool exists: waking the pool's workers costs more than the
-  // task itself, and the serving path's small batches hit this case on
-  // every request. (budget >= 2 whenever the pool has workers.)
-  if (num_tasks <= 1 || budget <= 1) {
-    for (uint64_t t = 0; t < num_tasks; ++t) run_task(t);
-    return;
-  }
-  if (pool != nullptr && pool->num_workers() > 0) {
-    pool->Run(num_tasks, run_task);
-    return;
-  }
-  util::WorkStealingPool local(budget - 1);
-  local.Run(num_tasks, run_task);
-}
-
 }  // namespace
 
 act::JoinStats ShardedIndex::Join(const act::JoinInput& input,
@@ -329,11 +306,10 @@ act::JoinStats ShardedIndex::Join(const act::JoinInput& input,
   std::vector<geom::Point> points;
   RouteBatch(*this, input, &offsets, &cells, &points, nullptr);
 
-  // Work-stealing executors: the routed batch becomes (shard, sub-range)
+  // Work-stealing executor: the routed batch becomes (shard, sub-range)
   // task units and the whole thread budget drains whichever shard is hot
-  // — the static per-shard split this replaced under-widthed hot shards
-  // on exactly the skewed batches the paper targets (kept as
-  // JoinStaticSplit, the A/B baseline). Each task probes at width 1;
+  // — a static per-shard split would under-width hot shards on exactly
+  // the skewed batches the paper targets. Each task probes at width 1;
   // parallelism comes only from the task fan-out, so nothing nests.
   const int budget = util::EffectiveWidth(pool, opts.threads);
   std::vector<TaskUnit> tasks = DecomposeBatch(*this, offsets, n, budget);
@@ -341,7 +317,7 @@ act::JoinStats ShardedIndex::Join(const act::JoinInput& input,
   std::vector<act::JoinStats> task_stats(tasks.size());
   act::JoinOptions task_opts = opts;
   task_opts.threads = 1;
-  RunTasks(tasks.size(), budget, pool, [&](uint64_t t) {
+  util::RunTasks(pool, budget, tasks.size(), [&](uint64_t t) {
     const TaskUnit& u = tasks[t];
     const uint64_t count = u.end - u.begin;
     act::JoinInput sub{std::span(cells).subspan(u.begin, count),
@@ -376,64 +352,6 @@ act::JoinStats ShardedIndex::Join(const act::JoinInput& input,
   return out;
 }
 
-act::JoinStats ShardedIndex::JoinStaticSplit(
-    const act::JoinInput& input, const act::JoinOptions& opts) const {
-  util::WallTimer timer;
-  const uint64_t n = input.size();
-  act::JoinStats out;
-  out.num_points = n;
-  out.counts.assign(num_polygons_, 0);
-  if (n == 0) {
-    out.seconds = timer.ElapsedSeconds();
-    return out;
-  }
-
-  std::vector<uint64_t> offsets, cells;
-  std::vector<geom::Point> points;
-  RouteBatch(*this, input, &offsets, &cells, &points, nullptr);
-
-  // The original executor: shards run concurrently, each owning an equal
-  // static slice of the thread budget for its inner blocked join
-  // kernel. Under-widths hot shards on skewed batches — which is the point
-  // of keeping it: the bench smoke measures the stealing Join against it.
-  const int ns = num_shards();
-  const int budget =
-      opts.threads <= 0 ? util::DefaultThreadCount() : opts.threads;
-  act::JoinOptions shard_opts = opts;
-  shard_opts.threads = std::max(1, budget / ns);
-  std::vector<act::JoinStats> per_shard(ns);
-  util::ParallelFor(
-      static_cast<uint64_t>(ns), std::min(budget, ns), /*batch=*/1,
-      [&](uint64_t begin, uint64_t end, int) {
-        for (uint64_t s = begin; s < end; ++s) {
-          uint64_t count = offsets[s + 1] - offsets[s];
-          if (count == 0 || shards_[s].index == nullptr) continue;
-          act::JoinInput sub{std::span(cells).subspan(offsets[s], count),
-                             std::span(points).subspan(offsets[s], count)};
-          per_shard[s] = shards_[s].index->Join(sub, shard_opts);
-        }
-      });
-
-  for (int s = 0; s < ns; ++s) {
-    uint64_t count = offsets[s + 1] - offsets[s];
-    if (count == 0) continue;
-    const Shard& shard = shards_[s];
-    if (shard.index == nullptr) {
-      // No polygons reach this shard: every point here is a guaranteed
-      // miss (the sharded analog of the sentinel probe).
-      out.sth_points += count;
-      continue;
-    }
-    const act::JoinStats& st = per_shard[s];
-    out.AccumulateCounters(st);
-    for (size_t k = 0; k < st.counts.size(); ++k) {
-      out.counts[shard.global_ids[k]] += st.counts[k];
-    }
-  }
-  out.seconds = timer.ElapsedSeconds();  // includes routing, fair total
-  return out;
-}
-
 std::vector<std::pair<uint64_t, uint32_t>> ShardedIndex::JoinPairs(
     const act::JoinInput& input, act::JoinMode mode, int threads,
     util::WorkStealingPool* pool) const {
@@ -451,7 +369,7 @@ std::vector<std::pair<uint64_t, uint32_t>> ShardedIndex::JoinPairs(
       DecomposeBatch(*this, offsets, input.size(), budget);
   std::vector<std::vector<std::pair<uint64_t, uint32_t>>> task_pairs(
       tasks.size());
-  RunTasks(tasks.size(), budget, pool, [&](uint64_t t) {
+  util::RunTasks(pool, budget, tasks.size(), [&](uint64_t t) {
     const TaskUnit& u = tasks[t];
     const uint64_t count = u.end - u.begin;
     const Shard& shard = shards_[u.shard];

@@ -157,11 +157,12 @@ class ShardedIndex {
   /// to global polygon ids, so results are byte-identical to the unsharded
   /// index regardless of which thread ran which task.
   ///
-  /// When `pool` is non-null (and has workers) its workers execute the
-  /// tasks, the calling thread helps, and the pool's width replaces
-  /// opts.threads entirely — budget and task granularity both come from
-  /// util::EffectiveWidth(pool, ...). A null pool spawns a transient pool
-  /// of opts.threads for this call.
+  /// This is the one executor; the tasks go through util::RunTasks. When
+  /// `pool` has workers they execute the tasks, the calling thread helps,
+  /// and the pool's width replaces opts.threads entirely — budget and task
+  /// granularity both come from util::EffectiveWidth(pool, ...). A null or
+  /// worker-less pool spawns a transient pool of opts.threads for this
+  /// call; width 1, or a batch that yields one task, runs inline.
   ///
   /// A non-null `phases` receives the per-phase wall breakdown; timing is
   /// three util::StageLap laps, so passing it costs nothing measurable. A
@@ -172,14 +173,6 @@ class ShardedIndex {
                       util::WorkStealingPool* pool = nullptr,
                       JoinPhaseTimes* phases = nullptr,
                       const util::StagePerfCounters* stage_perf = nullptr) const;
-
-  /// The pre-work-stealing executor: shards run concurrently, each owning
-  /// a static 1/num_shards slice of the thread budget. Kept as the A/B
-  /// baseline the bench smoke compares the stealing executor against (and
-  /// as the fallback should a pool regression ever need bisecting);
-  /// results are byte-identical to Join.
-  act::JoinStats JoinStaticSplit(const act::JoinInput& input,
-                                 const act::JoinOptions& opts) const;
 
   /// Routed equivalent of act::PolygonIndex::JoinPairs: sorted (point
   /// index, global polygon id) pairs. Carries the same ordering contract

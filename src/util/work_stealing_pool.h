@@ -4,9 +4,9 @@
 // the sharded executors need something it cannot give: several *concurrent*
 // joins, each decomposed into coarse (shard, sub-range) task units, all
 // drawing from one fixed thread budget without nested spawns. A static
-// per-shard split of that budget under-widths hot shards on exactly the
-// skewed taxi/Twitter-style batches the paper targets (ROADMAP: "work
-// stealing across shard executors").
+// per-shard split of that budget would under-width hot shards on exactly
+// the skewed taxi/Twitter-style batches the paper targets; here every
+// thread of the budget drains whichever shard is hot.
 //
 // Design: a fixed set of worker threads, one mutex-protected deque per
 // worker. A Run(n, fn) call block-distributes its n task indices across
@@ -129,6 +129,28 @@ class WorkStealingPool {
 /// DefaultThreadCount()). The one place the executors resolve "how wide
 /// is this join" from (pool, thread-budget) pairs.
 int EffectiveWidth(const WorkStealingPool* pool, int threads);
+
+/// Runs fn(t) for every t in [0, num_tasks), `width` wide — the one
+/// dispatcher the executors share. A lone task, or width <= 1, runs inline
+/// on the calling thread even when `pool` has workers: waking them costs
+/// more than the task, and the serving path's small batches hit this case
+/// on every request. Otherwise the tasks drain through `pool` when it has
+/// workers, else through a transient pool of width - 1 workers (the
+/// caller is the +1). Pass `width` from EffectiveWidth(pool, ...).
+template <typename Fn>
+void RunTasks(WorkStealingPool* pool, int width, uint64_t num_tasks,
+              Fn&& fn) {
+  if (num_tasks <= 1 || width <= 1) {
+    for (uint64_t t = 0; t < num_tasks; ++t) fn(t);
+    return;
+  }
+  if (pool != nullptr && pool->num_workers() > 0) {
+    pool->Run(num_tasks, fn);
+    return;
+  }
+  WorkStealingPool transient(width - 1);
+  transient.Run(num_tasks, fn);
+}
 
 }  // namespace actjoin::util
 

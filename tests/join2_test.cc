@@ -337,6 +337,50 @@ TEST(Join2Matcher, RunMatchesLibraryAndOracle) {
   }
 }
 
+TEST(Join2Matcher, WideServiceMatchesWidthOneService) {
+  // threads_per_join is the crossmatch's width too: a threads_per_join = 4
+  // service runs the descent and the refinement on its 3-worker pool (the
+  // calling thread helps). Pairs and stats must equal a width-1 service's,
+  // which runs everything inline — through Run and through the async path
+  // that executes on a service worker.
+  ServiceOptions wide_opts;
+  wide_opts.threads_per_join = 4;
+  TwoDatasetService wide(wide_opts);
+  TwoDatasetService narrow;
+  ASSERT_EQ(wide.service->shared_pool()->num_workers(), 3);
+  ASSERT_EQ(narrow.service->shared_pool()->num_workers(), 0);
+  DatasetCrossMatcher wide_matcher(wide.service.get());
+  DatasetCrossMatcher narrow_matcher(narrow.service.get());
+  for (CrossMatchMode mode :
+       {CrossMatchMode::kIntersects, CrossMatchMode::kContains}) {
+    CrossMatchRequest req{
+        .dataset_a = wide.id_a, .dataset_b = wide.id_b, .mode = mode};
+    CrossMatchOutcome want = narrow_matcher.Run(req);
+    ASSERT_EQ(want.status, CrossMatchStatus::kOk);
+    EXPECT_EQ(want.pairs, BruteForceCrossMatch(wide.pa, wide.pb, mode));
+    // More than one 64-candidate refine chunk, so the refinement is
+    // dispatched to the pool rather than run inline as a lone task.
+    EXPECT_GT(want.stats.candidate_pairs, 64u);
+
+    CrossMatchOutcome got = wide_matcher.Run(req);
+    ASSERT_EQ(got.status, CrossMatchStatus::kOk);
+    EXPECT_EQ(got.pairs, want.pairs);
+    ExpectStatsEqual(got.stats, want.stats);
+
+    std::promise<CrossMatchOutcome> promise;
+    std::future<CrossMatchOutcome> future = promise.get_future();
+    ASSERT_EQ(wide_matcher.TryCrossMatchAsync(
+                  req, [&](CrossMatchOutcome out) {
+                    promise.set_value(std::move(out));
+                  }),
+              service::SubmitStatus::kAccepted);
+    CrossMatchOutcome async = future.get();
+    ASSERT_EQ(async.status, CrossMatchStatus::kOk);
+    EXPECT_EQ(async.pairs, want.pairs);
+    ExpectStatsEqual(async.stats, want.stats);
+  }
+}
+
 TEST(Join2Matcher, TypedRejectionsNameTheOffendingSide) {
   TwoDatasetService fx;
   DatasetCrossMatcher matcher(fx.service.get());

@@ -197,9 +197,10 @@ QueryBatch MakeSkewedBatch(const ShardedIndex& index, const wl::PointSet& pts,
 // --- Work-stealing executor ------------------------------------------------
 
 TEST(ServiceExecutor, StealingAndStaticSplitByteIdentical) {
-  // The determinism contract of the executor swap: the work-stealing Join,
-  // the retired static-split executor, and the unsharded index all agree
-  // bit for bit, at every thread count, in both modes.
+  // The executor's determinism contract: the work-stealing Join at every
+  // thread count, its width-1 (inline, task-order) run, and the unsharded
+  // index all agree bit for bit, in both modes. The name dates from when a
+  // second, static-split executor was held to the same contract here.
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.08);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 5000, grid, 71);
@@ -223,10 +224,7 @@ TEST(ServiceExecutor, StealingAndStaticSplitByteIdentical) {
     for (int threads : {2, 4, 8}) {
       act::JoinStats stealing =
           sharded.Join(pts.AsJoinInput(), {mode, threads});
-      act::JoinStats static_split =
-          sharded.JoinStaticSplit(pts.AsJoinInput(), {mode, threads});
       ExpectStatsEqual(stealing, serial);
-      ExpectStatsEqual(static_split, serial);
     }
   }
 }
@@ -282,18 +280,16 @@ TEST(ServiceExecutor, SkewedBatchResultsExactAtFullWidth) {
   act::JoinStats want = single.Join(input, {JoinMode::kExact, 1});
   for (int threads : {1, 8}) {
     ExpectStatsEqual(sharded.Join(input, {JoinMode::kExact, threads}), want);
-    ExpectStatsEqual(sharded.JoinStaticSplit(input, {JoinMode::kExact,
-                                                     threads}),
-                     want);
   }
 }
 
 TEST(ServiceExecutor, SkewedBatchStressAcrossHotSwapsUnderSharedPool) {
-  // The TSan workload for the new pool: a service whose workers share one
-  // WorkStealingPool serves heavily skewed batches from concurrent clients
-  // while the writer hot-swaps the index. Exercises concurrent Run()
-  // submitters, the steal path (hot shard >= 90% of each batch), and
-  // epoch pinning, all at once. Assertions run on the main thread only.
+  // The TSan workload for the service pool: a service whose workers share
+  // one WorkStealingPool (threads_per_join = 4 => 3 pool workers) serves
+  // heavily skewed batches from concurrent clients while the writer
+  // hot-swaps the index. Exercises concurrent Run() submitters, the steal
+  // path (hot shard >= 90% of each batch), and epoch pinning, all at
+  // once. Assertions run on the main thread only.
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   const size_t half_count = ds.polygons.size() / 2;
@@ -320,7 +316,7 @@ TEST(ServiceExecutor, SkewedBatchStressAcrossHotSwapsUnderSharedPool) {
   ServiceOptions sopts;
   sopts.worker_threads = 3;
   sopts.queue_capacity = 16;
-  sopts.shared_pool_workers = 3;
+  sopts.threads_per_join = 4;
   JoinService service(half, sopts);
 
   constexpr int kClients = 2;
@@ -364,8 +360,9 @@ TEST(ServiceExecutor, SkewedBatchStressAcrossHotSwapsUnderSharedPool) {
 }
 
 TEST(ServiceExecutor, SharedPoolJoinByteIdenticalToSerialService) {
-  // A shared-pool service drains each join's task units across the pool;
-  // results must stay byte-identical to a serial service, in both modes.
+  // A threads_per_join = 4 service drains each join's task units across
+  // its pool; results must stay byte-identical to a width-1 service (no
+  // pool workers, every join inline), in both modes.
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.06);
   act::BuildOptions bopts;
@@ -377,7 +374,7 @@ TEST(ServiceExecutor, SharedPoolJoinByteIdenticalToSerialService) {
 
   ServiceOptions pooled_opts;
   pooled_opts.worker_threads = 1;
-  pooled_opts.shared_pool_workers = 3;
+  pooled_opts.threads_per_join = 4;
   JoinService pooled(index, pooled_opts);
   ServiceOptions plain_opts;
   plain_opts.worker_threads = 1;

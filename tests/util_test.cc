@@ -437,5 +437,67 @@ TEST(WorkStealingPool, SkewedTaskCostsStillComplete) {
   EXPECT_EQ(done.load(), 64u);
 }
 
+TEST(WorkStealingPool, RunTasksRunsEveryTaskExactlyOnce) {
+  // The executors' one dispatcher, in every (pool, width) shape they call
+  // it with: no pool (inline, or a transient pool), a worker-less pool
+  // (a JoinService at threads_per_join = 1) and a pool with workers.
+  WorkStealingPool empty_pool(0);
+  WorkStealingPool pool(3);
+  struct Shape {
+    WorkStealingPool* pool;
+    int width;
+  };
+  for (const Shape shape : {Shape{nullptr, 1}, Shape{nullptr, 4},
+                            Shape{&empty_pool, 1}, Shape{&pool, 4}}) {
+    for (uint64_t n : {0, 1, 2, 500}) {
+      std::vector<std::atomic<uint32_t>> runs(n);
+      RunTasks(shape.pool, shape.width, n, [&](uint64_t t) {
+        runs[t].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (uint64_t t = 0; t < n; ++t) {
+        EXPECT_EQ(runs[t].load(), 1u)
+            << "task " << t << " of " << n << ", width " << shape.width
+            << ", pool workers "
+            << (shape.pool != nullptr ? shape.pool->num_workers() : -1);
+      }
+    }
+  }
+}
+
+TEST(WorkStealingPool, RunTasksRunsLoneTaskAndWidthOneOnCaller) {
+  // A single task, or width 1, never leaves the calling thread — even
+  // with a pool that has idle workers. The serving path's small batches
+  // decompose into one task and rely on this to skip the wake-up. A pool
+  // caller helps drain its own job, so a lone task handed to a pool still
+  // lands on the caller most of the time; the rounds make a worker take
+  // it at least once if RunTasks dispatched it.
+  WorkStealingPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  struct Case {
+    WorkStealingPool* pool;
+    int width;
+    uint64_t n;
+  };
+  constexpr int kRounds = 200;
+  for (const Case c : {Case{nullptr, 4, 1}, Case{&pool, 4, 1},
+                       Case{nullptr, 1, 500}, Case{&pool, 1, 500}}) {
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::thread::id> ran_on(c.n);
+      std::vector<uint64_t> order;
+      RunTasks(c.pool, c.width, c.n, [&](uint64_t t) {
+        ran_on[t] = std::this_thread::get_id();
+        order.push_back(t);
+      });
+      ASSERT_EQ(order.size(), c.n);
+      for (uint64_t t = 0; t < c.n; ++t) {
+        ASSERT_EQ(ran_on[t], caller)
+            << "task " << t << " of " << c.n << ", width " << c.width
+            << ", round " << round;
+        ASSERT_EQ(order[t], t);  // inline runs in index order
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace actjoin::util
