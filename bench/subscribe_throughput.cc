@@ -8,11 +8,16 @@
 // common to both worlds and is *not* what this bench compares. What
 // differs is the marginal cost per consumer:
 //
-//   push:  each consumer holds one standing SUBSCRIBE; the matcher folds
-//          the ingestion batch once per subscription against its (small)
-//          coverage intervals and the server pushes delta-only EVENT
-//          frames. Marginal server work per consumer per tick: a
-//          coverage-filtered probe plus a few hundred bytes of events.
+//   push:  each consumer holds one standing SUBSCRIBE; the matcher joins
+//          the ingestion batch's moved tracks once, shared by every
+//          subscription, and each subscription filters those pairs by its
+//          watched polygons, diffs, and the server pushes delta-only EVENT
+//          frames. Marginal server work per consumer per tick: a filter
+//          and diff over the moved tracks plus a few hundred bytes of
+//          events — no probe of its own. The shared probe costs the
+//          same however many consumers share it, so push gains with
+//          --subscribers; at one consumer watching a few polygons it is
+//          the matcher's main cost.
 //
 //   poll:  each consumer re-sends the full fleet as its own JOIN_BATCH
 //          every tick (the wire's only primitive for "where is everyone
@@ -348,7 +353,7 @@ int Run(int argc, char** argv) {
       {"config", "events [K/s]", "wall [ms]", "consumer cost / tick"});
   table.AddRow({"SUBSCRIBE push", util::TablePrinter::Fmt(push_eps / 1e3, 1),
                 util::TablePrinter::Fmt(push_wall_ms, 1),
-                "coverage probe + EVENT frames"});
+                "filter + diff + EVENT frames"});
   table.AddRow({"poll re-join", util::TablePrinter::Fmt(poll_eps / 1e3, 1),
                 util::TablePrinter::Fmt(poll_wall_ms, 1),
                 "full fleet join"});

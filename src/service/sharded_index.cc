@@ -396,18 +396,6 @@ std::vector<std::pair<uint64_t, uint32_t>> ShardedIndex::JoinPairs(
   return out;
 }
 
-void ShardedIndex::ProbeCell(uint64_t leaf_cell_id,
-                             std::vector<CellRef>* out) const {
-  out->clear();
-  const Shard& shard = shards_[static_cast<size_t>(ShardOf(leaf_cell_id))];
-  if (shard.index == nullptr) return;
-  act::VisitRefs(shard.index->trie().Probe(leaf_cell_id),
-                 shard.index->encoded().table,
-                 [&](uint32_t pid, bool interior) {
-                   out->push_back({pid, interior});
-                 });
-}
-
 uint64_t ShardedIndex::MemoryBytes() const {
   uint64_t total = 0;
   for (const Shard& shard : shards_) {

@@ -61,14 +61,6 @@ struct ShardingOptions {
   int routing_cover_cells = 8;
 };
 
-/// One probe-visible polygon reference: shard-local polygon id (map through
-/// shard_polygon_ids(ShardOf(cell)) for the global id) plus the interior
-/// (true-hit) flag. What ProbeCell returns per reference.
-struct CellRef {
-  uint32_t local_pid = 0;
-  bool interior = false;
-};
-
 class ShardedIndex {
  public:
   /// Builds num_shards per-shard indexes over the polygons. Polygon ids in
@@ -187,13 +179,6 @@ class ShardedIndex {
   std::vector<std::pair<uint64_t, uint32_t>> JoinPairs(
       const act::JoinInput& input, act::JoinMode mode, int threads = 1,
       util::WorkStealingPool* pool = nullptr) const;
-
-  /// Replaces `out` with the references the probe loop would visit for
-  /// this leaf cell, in visit order. Empty output <=> a sentinel probe (a
-  /// guaranteed miss). Replaying the list (interior flags included) is
-  /// equivalent to the trie walk, for both join modes; SubscriptionMatcher
-  /// uses it to compute one tracked point's polygon membership.
-  void ProbeCell(uint64_t leaf_cell_id, std::vector<CellRef>* out) const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   size_t num_polygons() const { return num_polygons_; }

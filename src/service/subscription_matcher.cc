@@ -6,24 +6,10 @@
 
 #include "act/pipeline.h"
 #include "act/super_covering.h"
-#include "geometry/pip.h"
 
 namespace actjoin::service {
 
 namespace {
-
-bool CoverageContains(
-    const std::vector<std::pair<uint64_t, uint64_t>>& coverage,
-    uint64_t cell) {
-  auto it = std::upper_bound(
-      coverage.begin(), coverage.end(), cell,
-      [](uint64_t c, const std::pair<uint64_t, uint64_t>& iv) {
-        return c < iv.first;
-      });
-  if (it == coverage.begin()) return false;
-  --it;
-  return cell >= it->first && cell <= it->second;
-}
 
 /// Walks every covering cell of every shard, clipped to the shard's
 /// Hilbert interval — the same disjointness-restoring walk
@@ -64,14 +50,15 @@ void SortUnique(std::vector<uint32_t>* v) {
 
 }  // namespace
 
-void SubscriptionMatcher::BuildCoverage(const ShardedIndex& index, Sub* sub) {
+void SubscriptionMatcher::ResolveWatched(const ShardedIndex& index,
+                                         Sub* sub) {
   using Selector = SubscriptionSpec::Selector;
   sub->watch_all = sub->spec.selector == Selector::kAll;
   if (sub->spec.selector == Selector::kPolygonIds) {
     sub->watched = sub->spec.polygon_ids;
     SortUnique(&sub->watched);
   } else if (sub->spec.selector == Selector::kCellRange) {
-    // Pass 1: the watched set is every polygon whose covering touches the
+    // The watched set is every polygon whose covering touches the
     // requested region. The polygon is then watched *everywhere* — a
     // track leaving it through the far side still gets its LEAVE.
     std::vector<uint32_t> watched;
@@ -88,66 +75,50 @@ void SubscriptionMatcher::BuildCoverage(const ShardedIndex& index, Sub* sub) {
   } else {
     sub->watched.clear();
   }
-
-  std::vector<std::pair<uint64_t, uint64_t>> intervals;
-  ForEachClippedCell(
-      index, [&](uint64_t lo, uint64_t hi, const act::RefList& refs,
-                 const std::vector<uint32_t>& gids) {
-        bool hit = sub->watch_all;
-        if (!hit) {
-          for (const act::PolygonRef& r : refs) {
-            if (std::binary_search(sub->watched.begin(), sub->watched.end(),
-                                   gids[r.polygon_id])) {
-              hit = true;
-              break;
-            }
-          }
-        }
-        if (hit) intervals.emplace_back(lo, hi);
-      });
-  std::sort(intervals.begin(), intervals.end());
-  // Coalesce touching / overlapping intervals: the coverage is a presence
-  // filter, so merging only makes the binary search shorter.
-  sub->coverage.clear();
-  for (const auto& iv : intervals) {
-    if (!sub->coverage.empty()) {
-      auto& back = sub->coverage.back();
-      if (iv.first <= back.second ||
-          (back.second != UINT64_MAX && iv.first == back.second + 1)) {
-        back.second = std::max(back.second, iv.second);
-        continue;
-      }
-    }
-    sub->coverage.push_back(iv);
-  }
 }
 
-void SubscriptionMatcher::Membership(const ShardedIndex& index, const Sub& sub,
-                                     uint64_t cell, const geom::Point& pt,
-                                     std::vector<CellRef>* scratch,
-                                     std::vector<uint32_t>* out) {
-  out->clear();
-  if (!CoverageContains(sub.coverage, cell)) return;
-  index.ProbeCell(cell, scratch);
-  if (scratch->empty()) return;
-  const int s = index.ShardOf(cell);
-  const std::vector<uint32_t>& gids = index.shard_polygon_ids(s);
-  const act::PolygonIndex* shard = index.shard_index(s);
-  for (const CellRef& ref : *scratch) {
-    const uint32_t gid = gids[ref.local_pid];
-    if (!sub.watch_all &&
-        !std::binary_search(sub.watched.begin(), sub.watched.end(), gid)) {
+void SubscriptionMatcher::Probe(const ShardedIndex& index, Group* g) {
+  ProbeBuffers& b = g->buf;
+  const size_t m = b.cells.size();
+  points_probed_.fetch_add(m, std::memory_order_relaxed);
+  b.pairs = index.JoinPairs({b.cells, b.points}, act::JoinMode::kExact,
+                            /*threads=*/1);
+  // Pairs are sorted by (probed track, polygon id): bucket them by track.
+  b.pair_begin.assign(m + 1, 0);
+  for (const auto& [k, gid] : b.pairs) ++b.pair_begin[k + 1];
+  for (size_t k = 0; k < m; ++k) b.pair_begin[k + 1] += b.pair_begin[k];
+}
+
+void SubscriptionMatcher::Diff(Group* g, Sub* sub, size_t k,
+                               uint32_t track_id) {
+  ProbeBuffers& b = g->buf;
+  b.now.clear();
+  for (size_t i = b.pair_begin[k]; i < b.pair_begin[k + 1]; ++i) {
+    const uint32_t gid = b.pairs[i].second;
+    if (!sub->watch_all &&
+        !std::binary_search(sub->watched.begin(), sub->watched.end(), gid)) {
       continue;
     }
-    // Interior cells are definitive; candidate cells refine through the
-    // exact predicate — the same contract as the exact-mode join probe.
-    if (!ref.interior &&
-        !geom::ContainsPoint(shard->polygons()[ref.local_pid], pt)) {
-      continue;
-    }
-    out->push_back(gid);
+    if (b.now.empty() || b.now.back() != gid) b.now.push_back(gid);
   }
-  SortUnique(out);
+  std::vector<uint32_t>& before = sub->inside[track_id];
+  b.gone.clear();
+  b.came.clear();
+  std::set_difference(before.begin(), before.end(), b.now.begin(),
+                      b.now.end(), std::back_inserter(b.gone));
+  std::set_difference(b.now.begin(), b.now.end(), before.begin(),
+                      before.end(), std::back_inserter(b.came));
+  if (sub->spec.mode != SubscriptionMode::kEnterOnly) {
+    for (uint32_t gid : b.gone) {
+      sub->pending.push_back({GeoEventKind::kLeave, track_id, gid});
+    }
+  }
+  if (sub->spec.mode != SubscriptionMode::kLeaveOnly) {
+    for (uint32_t gid : b.came) {
+      sub->pending.push_back({GeoEventKind::kEnter, track_id, gid});
+    }
+  }
+  before.assign(b.now.begin(), b.now.end());
 }
 
 std::optional<SubscriptionInfo> SubscriptionMatcher::Add(uint16_t dataset_id,
@@ -169,43 +140,67 @@ std::optional<SubscriptionInfo> SubscriptionMatcher::Add(uint16_t dataset_id,
     return std::nullopt;
   }
 
-  auto sub = std::make_shared<Sub>();
+  auto sub = std::make_unique<Sub>();
   sub->id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  sub->dataset = dataset_id;
   sub->spec = std::move(spec);
   sub->sink = std::move(sink);
-  BuildCoverage(*snap, sub.get());
   sub->epoch = epoch;
 
+  ResolveWatched(*snap, sub.get());
   SubscriptionInfo info;
   info.id = sub->id;
   info.epoch = epoch;
   info.watched_polygons = static_cast<uint32_t>(
       sub->watch_all ? snap->num_polygons() : sub->watched.size());
-  info.coverage_intervals = static_cast<uint32_t>(sub->coverage.size());
+  ForEachClippedCell(
+      *snap, [&](uint64_t, uint64_t, const act::RefList& refs,
+                 const std::vector<uint32_t>& gids) {
+        info.coverage_intervals +=
+            sub->watch_all ||
+            std::any_of(refs.begin(), refs.end(),
+                        [&](const act::PolygonRef& r) {
+                          return std::binary_search(sub->watched.begin(),
+                                                    sub->watched.end(),
+                                                    gids[r.polygon_id]);
+                        });
+      });
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
-    subs_.emplace(sub->id, std::move(sub));
+    std::shared_ptr<Group>& group = groups_[dataset_id];
+    if (group == nullptr) group = std::make_shared<Group>();
+    dataset_of_.emplace(sub->id, dataset_id);
+    group->incoming.push_back(std::move(sub));
+    active_.fetch_add(1, std::memory_order_relaxed);
   }
-  active_.fetch_add(1, std::memory_order_relaxed);
   return info;
 }
 
 bool SubscriptionMatcher::Remove(uint64_t subscription_id) {
-  std::shared_ptr<Sub> sub;
+  const auto is_it = [&](const std::unique_ptr<Sub>& s) {
+    return s->id == subscription_id;
+  };
+  std::shared_ptr<Group> group;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
-    auto it = subs_.find(subscription_id);
-    if (it == subs_.end()) return false;
-    sub = std::move(it->second);
-    subs_.erase(it);
+    auto it = dataset_of_.find(subscription_id);
+    if (it == dataset_of_.end()) return false;
+    group = groups_.at(it->second);
+    dataset_of_.erase(it);
+    active_.fetch_sub(1, std::memory_order_relaxed);
+    // Still queued: no transition has seen it, so nothing to wait for.
+    if (std::erase_if(group->incoming, is_it) > 0) return true;
   }
-  active_.fetch_sub(1, std::memory_order_relaxed);
-  {
-    // An in-flight Process holds mu while delivering; taking it here means
-    // no delivery *starts* after Remove returns.
-    std::lock_guard<std::mutex> lock(sub->mu);
-    sub->sink = nullptr;
+  // An in-flight transition holds the group lock while delivering; taking
+  // it here means no delivery *starts* after Remove returns.
+  std::lock_guard<std::mutex> lock(group->mu);
+  std::erase_if(group->subs, is_it);
+  if (group->subs.empty()) {
+    // No subscription knows a track any more (a queued one knows none), so
+    // the next transition re-probes every track it reports anyway.
+    tracks_held_.fetch_sub(group->positions.size(),
+                           std::memory_order_relaxed);
+    group->positions = {};
+    group->buf = {};
   }
   return true;
 }
@@ -213,148 +208,160 @@ bool SubscriptionMatcher::Remove(uint64_t subscription_id) {
 bool SubscriptionMatcher::HasSubscriptions(uint16_t dataset_id) const {
   if (active_.load(std::memory_order_relaxed) == 0) return false;
   std::lock_guard<std::mutex> lock(registry_mu_);
-  for (const auto& [id, sub] : subs_) {
-    if (sub->dataset == dataset_id) return true;
+  for (const auto& [id, dataset] : dataset_of_) {
+    if (dataset == dataset_id) return true;
   }
   return false;
 }
 
-std::vector<std::shared_ptr<SubscriptionMatcher::Sub>>
-SubscriptionMatcher::SubsFor(uint16_t dataset_id) const {
-  std::vector<std::shared_ptr<Sub>> out;
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  for (const auto& [id, sub] : subs_) {
-    if (sub->dataset == dataset_id) out.push_back(sub);
+void SubscriptionMatcher::Resync(Group* g, const ShardedIndex& index,
+                                 uint64_t epoch) {
+  // The snapshot moved under these subscriptions: re-resolve cell-range
+  // watched sets, then re-evaluate every known track so removals LEAVE and
+  // additions ENTER without any point traffic. One join covers the known
+  // tracks of every subscription behind the epoch.
+  size_t known = 0;
+  bool stale = false;
+  for (const auto& sub : g->subs) {
+    if (sub->epoch >= epoch) continue;
+    stale = true;
+    if (sub->spec.selector == SubscriptionSpec::Selector::kCellRange) {
+      ResolveWatched(index, sub.get());
+    }
+    known = std::max(known, sub->inside.size());
   }
-  return out;
+  if (!stale) return;
+  if (known > 0) {
+    g->buf.cells.resize(known);
+    g->buf.points.resize(known);
+    for (size_t t = 0; t < known; ++t) {
+      g->buf.cells[t] = g->positions[t].cell;
+      g->buf.points[t] = g->positions[t].point;
+    }
+    Probe(index, g);
+  }
+  for (const auto& sub : g->subs) {
+    if (sub->epoch >= epoch) continue;
+    sub->epoch = epoch;
+    for (size_t t = 0; t < sub->inside.size(); ++t) {
+      Diff(g, sub.get(), t, static_cast<uint32_t>(t));
+    }
+  }
 }
 
-void SubscriptionMatcher::Process(Sub* sub, const ShardedIndex& index,
-                                  uint64_t epoch,
-                                  std::span<const uint64_t> cell_ids,
-                                  std::span<const geom::Point> points) {
-  if (sub->sink == nullptr) return;
-  EventBatch batch;
-  std::vector<CellRef> scratch;
-  std::vector<uint32_t> now, gone, came;
-  const bool want_leave = sub->spec.mode != SubscriptionMode::kEnterOnly;
-  const bool want_enter = sub->spec.mode != SubscriptionMode::kLeaveOnly;
-  auto emit_diff = [&](uint32_t track_id, const std::vector<uint32_t>& before,
-                       const std::vector<uint32_t>& after) {
-    gone.clear();
-    came.clear();
-    std::set_difference(before.begin(), before.end(), after.begin(),
-                        after.end(), std::back_inserter(gone));
-    std::set_difference(after.begin(), after.end(), before.begin(),
-                        before.end(), std::back_inserter(came));
-    if (want_leave) {
-      for (uint32_t g : gone) {
-        batch.events.push_back({GeoEventKind::kLeave, track_id, g});
-      }
-    }
-    if (want_enter) {
-      for (uint32_t g : came) {
-        batch.events.push_back({GeoEventKind::kEnter, track_id, g});
-      }
-    }
-  };
-
-  // Never regress: a worker can reach here holding a snapshot acquired
-  // *before* a swap that another worker already applied to this
-  // subscription. Rebuilding coverage against that older snapshot would
-  // roll the subscription back and emit phantom LEAVE/ENTER transitions
-  // that the next batch at the new epoch reverses again. Callers
-  // re-acquire the current snapshot when they detect this; the guard
-  // keeps any future caller from regressing state.
-  if (epoch < sub->epoch) return;
-  if (epoch > sub->epoch) {
-    // The snapshot moved under us: re-resolve coverage, then re-evaluate
-    // every known track so removals LEAVE and additions ENTER without any
-    // point traffic.
-    BuildCoverage(index, sub);
-    sub->epoch = epoch;
-    for (size_t t = 0; t < sub->tracks.size(); ++t) {
-      Track& tr = sub->tracks[t];
-      if (!tr.known) continue;
-      Membership(index, *sub, tr.cell, tr.point, &scratch, &now);
-      emit_diff(static_cast<uint32_t>(t), tr.inside, now);
-      tr.inside = now;
-    }
-  }
-
+void SubscriptionMatcher::ApplyBatch(Group* g, const ShardedIndex& index,
+                                     std::span<const uint64_t> cell_ids,
+                                     std::span<const geom::Point> points) {
   const size_t n = std::min(cell_ids.size(), points.size());
-  if (n > sub->tracks.size()) sub->tracks.resize(n);
-  for (size_t t = 0; t < n; ++t) {
-    Track& tr = sub->tracks[t];
-    // Within one epoch, membership is a pure function of (coverage,
-    // position): a track reporting the position it already holds cannot
-    // transition, so skip its probe outright. Fleets are mostly
-    // stationary from one batch to the next, which makes this the
-    // difference between O(fleet) and O(moved) matcher work per batch.
-    if (tr.known && tr.cell == cell_ids[t] && tr.point == points[t]) {
-      continue;
-    }
-    Membership(index, *sub, cell_ids[t], points[t], &scratch, &now);
-    emit_diff(static_cast<uint32_t>(t), tr.inside, now);
-    tr.known = true;
-    tr.cell = cell_ids[t];
-    tr.point = points[t];
-    tr.inside = now;
+  // Within one epoch, membership is a pure function of (watched set,
+  // position): a track reporting the position every subscription already
+  // holds for it cannot transition, so it is not probed at all. Fleets are
+  // mostly stationary from one batch to the next, which makes this the
+  // difference between O(fleet) and O(moved) matcher work per batch.
+  size_t known_by_all = SIZE_MAX;
+  for (const auto& sub : g->subs) {
+    known_by_all = std::min(known_by_all, sub->inside.size());
   }
+  const size_t seen = g->positions.size();
+  if (n > seen) {
+    g->positions.resize(n);
+    tracks_held_.fetch_add(n - seen, std::memory_order_relaxed);
+  }
+  ProbeBuffers& b = g->buf;
+  b.tracks.clear();
+  b.cells.clear();
+  b.points.clear();
+  b.moved.clear();
+  for (size_t t = 0; t < n; ++t) {
+    Position& pos = g->positions[t];
+    const bool moved =
+        t >= seen || pos.cell != cell_ids[t] || pos.point != points[t];
+    if (!moved && t < known_by_all) continue;
+    pos = {cell_ids[t], points[t]};
+    b.tracks.push_back(static_cast<uint32_t>(t));
+    b.cells.push_back(cell_ids[t]);
+    b.points.push_back(points[t]);
+    b.moved.push_back(moved);
+  }
+  if (b.tracks.empty()) return;
+  Probe(index, g);
+  for (const auto& sub : g->subs) {
+    const size_t known = sub->inside.size();
+    if (n > known) sub->inside.resize(n);
+    for (size_t k = 0; k < b.tracks.size(); ++k) {
+      const uint32_t t = b.tracks[k];
+      if (t < known && !b.moved[k]) continue;  // unchanged for this one
+      Diff(g, sub.get(), k, t);
+    }
+  }
+}
 
-  if (batch.events.empty()) return;
-  batch.subscription_id = sub->id;
-  batch.epoch = epoch;
-  batch.first_seq = sub->next_seq;
-  sub->next_seq += batch.events.size();
-  events_emitted_.fetch_add(batch.events.size(), std::memory_order_relaxed);
-  sub->sink(std::move(batch));
+void SubscriptionMatcher::TakeIncoming(Group* g) {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  for (std::unique_ptr<Sub>& sub : g->incoming) {
+    // Concurrent Adds may queue out of id order; keep the list sorted so
+    // multi-subscription delivery order is id order.
+    auto at = std::upper_bound(
+        g->subs.begin(), g->subs.end(), sub->id,
+        [](uint64_t id, const std::unique_ptr<Sub>& s) { return id < s->id; });
+    g->subs.insert(at, std::move(sub));
+  }
+  g->incoming.clear();
+}
+
+void SubscriptionMatcher::Deliver(Group* g, uint64_t epoch) {
+  for (const auto& sub : g->subs) {
+    if (sub->pending.empty()) continue;
+    EventBatch batch;
+    batch.subscription_id = sub->id;
+    batch.epoch = epoch;
+    batch.first_seq = sub->next_seq;
+    batch.events = std::exchange(sub->pending, {});
+    sub->next_seq += batch.events.size();
+    events_emitted_.fetch_add(batch.events.size(), std::memory_order_relaxed);
+    sub->sink(std::move(batch));
+  }
 }
 
 void SubscriptionMatcher::OnPointBatch(uint16_t dataset_id,
                                        std::span<const uint64_t> cell_ids,
                                        std::span<const geom::Point> points) {
   if (active_.load(std::memory_order_relaxed) == 0) return;
-  std::vector<std::shared_ptr<Sub>> subs = SubsFor(dataset_id);
-  if (subs.empty()) return;
+  std::shared_ptr<Group> group;
+  {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    auto it = groups_.find(dataset_id);
+    if (it == groups_.end()) return;
+    group = it->second;
+  }
   const ServiceCatalog::Registry* reg = catalog_->Find(dataset_id);
   if (reg == nullptr) return;
   uint64_t epoch = 0;
   std::shared_ptr<const ShardedIndex> snap = reg->Acquire(&epoch);
   if (snap == nullptr) return;
-  for (auto& sub : subs) {
-    std::lock_guard<std::mutex> lock(sub->mu);
-    // Our snapshot lost the race with a swap another worker has already
-    // applied to this subscription. Registry epochs are monotone, so
-    // re-acquiring yields a snapshot at least as new as sub->epoch —
-    // the batch's positions still land, just against the fresher index.
-    if (epoch < sub->epoch) {
-      snap = reg->Acquire(&epoch);
-      if (snap == nullptr) return;
-    }
-    Process(sub.get(), *snap, epoch, cell_ids, points);
+  std::lock_guard<std::mutex> lock(group->mu);
+  TakeIncoming(group.get());
+  if (group->subs.empty()) return;
+  // Never regress: this thread may hold a snapshot acquired *before* a
+  // swap that another thread already applied to these subscriptions.
+  // Resolving against that older snapshot would roll them back and emit
+  // phantom LEAVE/ENTER transitions that the next batch at the new epoch
+  // reverses again. Registry epochs are monotone, so re-acquiring yields
+  // a snapshot at least as new as any subscription's — the batch's
+  // positions still land, just against the fresher index.
+  uint64_t newest = 0;
+  for (const auto& sub : group->subs) newest = std::max(newest, sub->epoch);
+  if (epoch < newest) {
+    snap = reg->Acquire(&epoch);
+    if (snap == nullptr || epoch < newest) return;
   }
+  Resync(group.get(), *snap, epoch);
+  ApplyBatch(group.get(), *snap, cell_ids, points);
+  Deliver(group.get(), epoch);
 }
 
 void SubscriptionMatcher::OnEpochSwap(uint16_t dataset_id) {
-  if (active_.load(std::memory_order_relaxed) == 0) return;
-  std::vector<std::shared_ptr<Sub>> subs = SubsFor(dataset_id);
-  if (subs.empty()) return;
-  const ServiceCatalog::Registry* reg = catalog_->Find(dataset_id);
-  if (reg == nullptr) return;
-  uint64_t epoch = 0;
-  std::shared_ptr<const ShardedIndex> snap = reg->Acquire(&epoch);
-  if (snap == nullptr) return;
-  for (auto& sub : subs) {
-    std::lock_guard<std::mutex> lock(sub->mu);
-    // Same stale-snapshot race as OnPointBatch: never hand Process an
-    // epoch older than what the subscription has already seen.
-    if (epoch < sub->epoch) {
-      snap = reg->Acquire(&epoch);
-      if (snap == nullptr) return;
-    }
-    Process(sub.get(), *snap, epoch, {}, {});
-  }
+  OnPointBatch(dataset_id, {}, {});  // the resync step alone
 }
 
 void SubscriptionMatcher::RegisterMetrics(
@@ -367,6 +374,14 @@ void SubscriptionMatcher::RegisterMetrics(
       "subscription_events_emitted_total",
       "ENTER/LEAVE transitions computed by the matcher", "",
       [this] { return events_emitted(); });
+  registry->RegisterCounterFn(
+      "subscription_points_probed_total",
+      "Track positions joined by the matcher's shared probe", "",
+      [this] { return points_probed(); });
+  registry->RegisterGaugeFn(
+      "subscription_tracks_held",
+      "Track positions the matcher holds for its subscriptions", "",
+      [this] { return static_cast<double>(tracks_held()); });
 }
 
 }  // namespace actjoin::service

@@ -7,16 +7,14 @@
 // transition events for the tracks (batch point indexes, i.e. device ids)
 // it has seen.
 //
-// The matcher reuses the serving index instead of building its own: each
-// subscription flattens the per-shard ACT coverings into a sorted,
-// disjoint list of leaf-cell-id *coverage intervals* — the same
-// clip-to-shard-interval walk join2::IntervalView::FromIndex does, reduced
-// to a presence filter over the watched polygon set. A probed point whose
-// leaf cell misses every interval is skipped with one binary search;
-// points inside coverage replay ShardedIndex::ProbeCell (interior cells
-// are definitive hits, candidate cells refine through geom::ContainsPoint
-// — exactly the join's probe contract), diff the resulting membership set
-// against the track's previous one, and emit the difference.
+// The matcher reuses the serving index and its one join kernel instead
+// of building anything of its own. A point batch makes one probe for all
+// subscriptions on its dataset: the tracks some subscription must
+// re-evaluate (unknown to it, or reported at a new cell or point) go
+// through one exact-mode ShardedIndex::JoinPairs at width 1 — the blocked
+// probe→refine kernel every join runs — and each subscription then
+// filters a track's polygon ids by its watched set, diffs them against
+// the track's previous membership, and emits the difference.
 //
 // Determinism contract (what the wire layer promises subscribers):
 // per subscription, events are totally ordered — seq starts at 1 and
@@ -26,16 +24,19 @@
 // (one point batch, or one epoch swap) events order by ascending track
 // id, LEAVEs before ENTERs per track, each group in ascending polygon
 // id. Every batch is tagged with the snapshot epoch it was computed
-// against. A subscription's state is serialized by a per-subscription
-// mutex, so seq monotonicity holds under concurrent batches; with a
-// single driver the full event sequence is reproducible byte-for-byte
-// (asserted against a recompute-from-scratch oracle in the tests).
+// against. The subscriptions on one dataset are serialized by one
+// per-dataset mutex held for a whole transition, so seq monotonicity holds
+// under concurrent batches; with a single feeding thread the full event
+// sequence is reproducible byte-for-byte (asserted against an oracle that
+// recomputes every membership from nothing, in the tests).
 //
-// Epoch swaps: the matcher re-resolves coverage lazily — the first batch
-// (or OnEpochSwap call) that observes a new epoch rebuilds the
-// subscription's coverage and re-evaluates every known track against the
-// new snapshot, so REMOVE_POLYGONS produces LEAVEs and ADD_POLYGONS
-// produces ENTERs without any point traffic.
+// Epoch swaps: the first batch (or OnEpochSwap call) that observes a new
+// epoch re-resolves the cell-range subscriptions' watched sets, re-joins
+// the known tracks' positions once against the new snapshot, and shares
+// those pairs across every subscription behind that epoch — so
+// REMOVE_POLYGONS produces LEAVEs and ADD_POLYGONS produces ENTERs
+// without any point traffic. The resync is its own step, before the
+// batch's positions are applied.
 
 #ifndef ACTJOIN_SERVICE_SUBSCRIPTION_MATCHER_H_
 #define ACTJOIN_SERVICE_SUBSCRIPTION_MATCHER_H_
@@ -104,9 +105,11 @@ struct SubscriptionSpec {
   SubscriptionMode mode = SubscriptionMode::kBoth;
 };
 
-/// Add()'s receipt: the registry id plus the coverage figures resolved
+/// Add()'s receipt: the registry id plus the watched-set figures resolved
 /// against the subscribe-time snapshot (also the SUBSCRIPTION_RESULT wire
-/// payload).
+/// payload). `coverage_intervals` counts the covering cells, clipped to
+/// their shard's Hilbert interval, that reference a watched polygon — a
+/// size figure for the watched region, not matcher state.
 struct SubscriptionInfo {
   uint64_t id = 0;
   uint64_t epoch = 0;
@@ -121,9 +124,9 @@ class SubscriptionMatcher {
  public:
   /// Delivery callback. Runs on whatever thread drove the transition (a
   /// service worker for point batches, the mutating thread for epoch
-  /// swaps) with the subscription's lock held — sinks must be cheap and
-  /// must never re-enter the matcher. The net layer's sink hands the
-  /// batch to an event-loop inbox and returns.
+  /// swaps) with the dataset's subscription lock held — sinks must be
+  /// cheap and must never re-enter the matcher. The net layer's sink hands
+  /// the batch to an event-loop inbox and returns.
   using EventSink = std::function<void(EventBatch&&)>;
 
   /// The catalog must outlive the matcher.
@@ -137,13 +140,18 @@ class SubscriptionMatcher {
   /// the dataset has no published snapshot, or an explicit polygon id is
   /// out of range at subscribe time. Events begin with the next point
   /// batch — Add itself emits nothing (a track's initial memberships
-  /// arrive as ENTERs on its first sighting).
+  /// arrive as ENTERs on its first sighting). Add never waits for a
+  /// transition: the new subscription is queued, and the dataset's next
+  /// transition takes it in under the dataset's lock.
   std::optional<SubscriptionInfo> Add(uint16_t dataset_id,
                                       SubscriptionSpec spec, EventSink sink);
 
   /// Unregisters; false for an id that was never assigned or was already
-  /// removed. The sink is dropped under the subscription's lock, so no
-  /// delivery starts after Remove returns.
+  /// removed. A subscription that a transition has taken in is dropped
+  /// under its dataset's lock, so no delivery starts after Remove returns
+  /// — which means Remove can wait for one in-flight transition on that
+  /// dataset (resync, shared probe and delivery). When the dataset's last
+  /// subscription goes, the per-track state it shared is freed.
   bool Remove(uint64_t subscription_id);
 
   /// Cheap serving-path gate: false ⇒ OnPointBatch would be a no-op for
@@ -151,14 +159,15 @@ class SubscriptionMatcher {
   bool HasSubscriptions(uint16_t dataset_id) const;
 
   /// Feeds one executed point batch (parallel cell_ids / points arrays,
-  /// track id = array index). Pins the dataset's current snapshot once
-  /// and advances every subscription on it.
+  /// track id = array index). Pins the dataset's current snapshot once,
+  /// resyncs every subscription behind it, then applies the batch with
+  /// one shared probe — all under the dataset's lock.
   void OnPointBatch(uint16_t dataset_id, std::span<const uint64_t> cell_ids,
                     std::span<const geom::Point> points);
 
   /// Re-evaluates every subscription on the dataset against its newest
-  /// snapshot (coverage rebuild + full track resync). Call after any
-  /// publish: delta mutations, full swaps, drops.
+  /// snapshot (cell-range re-resolve + one shared re-join of the known
+  /// tracks). Call after any publish: delta mutations, full swaps, drops.
   void OnEpochSwap(uint16_t dataset_id);
 
   size_t active_subscriptions() const {
@@ -167,64 +176,107 @@ class SubscriptionMatcher {
   uint64_t events_emitted() const {
     return events_emitted_.load(std::memory_order_relaxed);
   }
+  /// Track positions sent through the shared probe (batches and swap
+  /// resyncs): independent of how many subscriptions share them.
+  uint64_t points_probed() const {
+    return points_probed_.load(std::memory_order_relaxed);
+  }
+  /// Track positions the matcher holds, over every dataset: the latest
+  /// report of each track a dataset's subscriptions know. 0 once every
+  /// subscription is gone.
+  size_t tracks_held() const {
+    return tracks_held_.load(std::memory_order_relaxed);
+  }
 
   /// Gauges/counters for GET_METRICS; the matcher must outlive collection.
   void RegisterMetrics(util::MetricsRegistry* registry) const;
 
  private:
-  /// One track's last known state: where it was probed and which watched
-  /// polygons contained it (sorted global ids).
-  struct Track {
-    bool known = false;
-    uint64_t cell = 0;
-    geom::Point point{0, 0};
-    std::vector<uint32_t> inside;
-  };
-
   struct Sub {
     uint64_t id = 0;
-    uint16_t dataset = 0;
     SubscriptionSpec spec;
     EventSink sink;
-    std::mutex mu;  // serializes everything below
-    uint64_t epoch = 0;  // snapshot the coverage was resolved against
+    uint64_t epoch = 0;  // snapshot the memberships were computed against
     bool watch_all = false;
     std::vector<uint32_t> watched;  // sorted; unused when watch_all
-    /// Sorted, disjoint, coalesced [lo, hi] leaf-cell-id intervals
-    /// covering every covering cell that references a watched polygon.
-    std::vector<std::pair<uint64_t, uint64_t>> coverage;
-    std::vector<Track> tracks;  // index == track id
+    /// Watched polygons containing each known track (sorted global ids),
+    /// index == track id. Every batch makes all of its tracks known, so
+    /// the known tracks are exactly [0, inside.size()).
+    std::vector<std::vector<uint32_t>> inside;
+    std::vector<GeoEvent> pending;  // this transition's events, unnumbered
     uint64_t next_seq = 1;
   };
 
-  /// Resolves watched set + coverage intervals against `index` (clip each
-  /// shard's covering cells to the shard's Hilbert interval, keep cells
-  /// referencing a watched id, coalesce). Caller holds sub.mu.
-  static void BuildCoverage(const ShardedIndex& index, Sub* sub);
+  /// A reported position. The group keeps each track's latest one: every
+  /// subscription that knows the track computed its membership there.
+  struct Position {
+    uint64_t cell = 0;
+    geom::Point point{0, 0};
+  };
 
-  /// Sorted watched membership of one probed point. Caller holds sub.mu.
-  static void Membership(const ShardedIndex& index, const Sub& sub,
-                         uint64_t cell, const geom::Point& pt,
-                         std::vector<CellRef>* scratch,
-                         std::vector<uint32_t>* out);
+  /// Buffers of the shared probe, reused across transitions.
+  struct ProbeBuffers {
+    std::vector<uint32_t> tracks;
+    std::vector<uint64_t> cells;
+    std::vector<geom::Point> points;
+    std::vector<uint8_t> moved;  // per probed track: new cell or point
+    std::vector<std::pair<uint64_t, uint32_t>> pairs;
+    std::vector<size_t> pair_begin;  // probed track k: [begin[k], begin[k+1])
+    std::vector<uint32_t> now, gone, came;
+  };
 
-  /// Advances one subscription to `epoch`/`index` (coverage rebuild + track
-  /// resync if the epoch moved), then applies the optional point batch.
-  /// Emits at most one EventBatch. Caller holds sub.mu.
-  void Process(Sub* sub, const ShardedIndex& index, uint64_t epoch,
-               std::span<const uint64_t> cell_ids,
-               std::span<const geom::Point> points);
+  /// Every subscription on one dataset plus the state they share. `mu` is
+  /// held for a whole transition (resync, batch, delivery), so a batch is
+  /// one atomic step for all of the dataset's subscriptions.
+  struct Group {
+    std::mutex mu;  // guards everything below except `incoming`
+    std::vector<std::unique_ptr<Sub>> subs;  // id order
+    std::vector<Position> positions;         // index == track id
+    ProbeBuffers buf;
+    /// Added subscriptions the next transition takes into `subs`. Guarded
+    /// by the matcher's registry_mu_, so Add never waits on `mu`.
+    std::vector<std::unique_ptr<Sub>> incoming;
+  };
 
-  /// Subscriptions on one dataset, in id order (determinism of multi-sub
-  /// delivery order within one driver thread).
-  std::vector<std::shared_ptr<Sub>> SubsFor(uint16_t dataset_id) const;
+  /// Resolves a subscription's watched set against `index`; a kCellRange
+  /// selection walks the clipped coverings.
+  static void ResolveWatched(const ShardedIndex& index, Sub* sub);
+
+  /// Moves the group's queued subscriptions into `subs`, keeping id order.
+  /// Caller holds g->mu.
+  void TakeIncoming(Group* g);
+
+  /// Joins the group's buffered cells/points once (exact mode, width 1)
+  /// into pairs grouped by probed track.
+  void Probe(const ShardedIndex& index, Group* g);
+
+  /// Appends one track's transition to sub->pending: the watched ids among
+  /// probed track k's pairs, diffed against the track's previous set.
+  static void Diff(Group* g, Sub* sub, size_t k, uint32_t track_id);
+
+  /// Brings every subscription behind `epoch` up to it: re-resolves
+  /// cell-range watched sets and re-joins the known tracks once. Caller
+  /// holds g->mu.
+  void Resync(Group* g, const ShardedIndex& index, uint64_t epoch);
+
+  /// Applies one point batch to every subscription. Caller holds g->mu.
+  void ApplyBatch(Group* g, const ShardedIndex& index,
+                  std::span<const uint64_t> cell_ids,
+                  std::span<const geom::Point> points);
+
+  /// Numbers and delivers each subscription's pending events as one
+  /// EventBatch tagged `epoch`, in id order. Caller holds g->mu.
+  void Deliver(Group* g, uint64_t epoch);
 
   const ServiceCatalog* catalog_;
-  mutable std::mutex registry_mu_;
-  std::map<uint64_t, std::shared_ptr<Sub>> subs_;  // ordered: id order
+  mutable std::mutex registry_mu_;  // the two maps below, Group::incoming
+  std::map<uint16_t, std::shared_ptr<Group>> groups_;  // by dataset id
+  std::map<uint64_t, uint16_t> dataset_of_;            // by subscription id
   std::atomic<uint64_t> next_id_{1};
   std::atomic<size_t> active_{0};
   std::atomic<uint64_t> events_emitted_{0};
+  std::atomic<uint64_t> points_probed_{0};
+  std::atomic<size_t> tracks_held_{0};
 };
 
 }  // namespace actjoin::service

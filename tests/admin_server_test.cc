@@ -59,8 +59,11 @@ using service::ShardedIndex;
 std::shared_ptr<const ShardedIndex> SmallSnapshot() {
   geo::Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.15);
-  return std::make_shared<const ShardedIndex>(ShardedIndex::Build(
-      ds.polygons, grid, {.num_shards = 2, .build = {.threads = 1}}));
+  service::ShardingOptions opts;
+  opts.num_shards = 2;
+  opts.build.threads = 1;
+  return std::make_shared<const ShardedIndex>(
+      ShardedIndex::Build(ds.polygons, grid, opts));
 }
 
 QueryBatch SmallBatch(bool trace = false) {

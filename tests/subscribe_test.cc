@@ -20,6 +20,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -36,6 +38,8 @@
 #include <gtest/gtest.h>
 
 #include "act/join.h"
+#include "act/pipeline.h"
+#include "act/super_covering.h"
 #include "geo/grid.h"
 #include "geometry/pip.h"
 #include "net/join_client.h"
@@ -43,8 +47,10 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "service/join_service.h"
+#include "service/service_catalog.h"
 #include "service/sharded_index.h"
 #include "service/subscription_matcher.h"
+#include "util/metrics.h"
 #include "workloads/datasets.h"
 
 namespace actjoin::net {
@@ -540,6 +546,419 @@ TEST(SubscribeMatcher, AddRefusesUnknownDatasetAndOutOfRangeIds) {
   auto info = matcher.Add(0, good_ids, log.Sink());
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->watched_polygons, 3u);
+}
+
+/// The kCellRange selector's definition over a snapshot's coverings:
+/// every polygon referenced by a covering cell whose leaf-id range, clipped
+/// to its shard's Hilbert interval, meets [lo, hi].
+std::set<uint32_t> CellRangeWatched(const ShardedIndex& index, uint64_t lo,
+                                    uint64_t hi) {
+  std::set<uint32_t> out;
+  const unsigned __int128 ns = static_cast<unsigned __int128>(
+      index.num_shards());
+  for (int s = 0; s < index.num_shards(); ++s) {
+    const act::PolygonIndex* shard = index.shard_index(s);
+    if (shard == nullptr) continue;
+    const uint64_t shard_lo = static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(s) << 64) / ns);
+    const uint64_t shard_hi =
+        s + 1 == index.num_shards()
+            ? UINT64_MAX
+            : static_cast<uint64_t>(
+                  (static_cast<unsigned __int128>(s + 1) << 64) / ns) - 1;
+    const act::SuperCovering& sc = shard->covering();
+    for (size_t i = 0; i < sc.size(); ++i) {
+      const uint64_t a = std::max({sc.cell(i).range_min().id(), shard_lo, lo});
+      const uint64_t b = std::min({sc.cell(i).range_max().id(), shard_hi, hi});
+      if (a > b) continue;
+      for (const act::PolygonRef& r : sc.refs(i)) {
+        out.insert(index.shard_polygon_ids(s)[r.polygon_id]);
+      }
+    }
+  }
+  return out;
+}
+
+/// One subscription's delivered stream, folded by FoldAndCheck.
+struct Folded {
+  EventLog log;
+  uint64_t next_seq = 1;
+  std::map<uint32_t, std::set<uint32_t>> membership;
+};
+
+TEST(SubscribeMatcher, SharedProbeServesEverySelectorAndALateSubscriber) {
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.05);
+  ServiceOptions sopts;
+  sopts.worker_threads = 1;
+  JoinService service(BuildShared(ds.polygons, grid, 2), sopts);
+  SubscriptionMatcher matcher(&service.catalog());
+  service.set_subscription_matcher(&matcher);
+
+  std::map<uint32_t, geom::Polygon> live;
+  for (size_t i = 0; i < ds.polygons.size(); ++i) {
+    live.emplace(static_cast<uint32_t>(i), ds.polygons[i]);
+  }
+  const uint64_t kTracks = 128;
+  std::vector<wl::PointSet> pos;
+  for (uint64_t seed : {81, 82, 83}) {
+    pos.push_back(wl::TaxiPoints(ds.mbr, kTracks, grid, seed));
+  }
+  std::vector<size_t> at(kTracks, 0);  // track t reports pos[at[t]][t]
+  auto point_of = [&](uint64_t t) { return pos[at[t]].points()[t]; };
+  auto submit = [&] {
+    QueryBatch b;
+    for (uint64_t t = 0; t < kTracks; ++t) {
+      b.cell_ids.push_back(pos[at[t]].cell_ids()[t]);
+      b.points.push_back(point_of(t));
+    }
+    service.Submit(std::move(b)).get();
+  };
+
+  // Track t0 never moves below (no t % 3 == 0, t % 10 == 1, t % 4 == 2)
+  // and sits inside polygon `inner`. A small cell region around it: the
+  // cell-range subscription watches `inner` plus whatever else the
+  // coverings put there, never the whole dataset.
+  auto stationary = [](uint64_t t) {
+    return t % 3 != 0 && t % 10 != 1 && t % 4 != 2;
+  };
+  uint64_t t0 = 0;
+  while (t0 < kTracks &&
+         (!stationary(t0) || OracleMembership(live, point_of(t0)).empty())) {
+    ++t0;
+  }
+  ASSERT_LT(t0, kTracks);
+  const uint32_t inner = *OracleMembership(live, point_of(t0)).begin();
+  const uint64_t mask = (uint64_t{1} << 30) - 1;
+  SubscriptionSpec range;
+  range.selector = SubscriptionSpec::Selector::kCellRange;
+  range.cell_lo = pos[0].cell_ids()[t0] & ~mask;
+  range.cell_hi = pos[0].cell_ids()[t0] | mask;
+  auto range_watched = [&] {
+    return CellRangeWatched(*service.catalog().Find(0)->Acquire(),
+                            range.cell_lo, range.cell_hi);
+  };
+  ASSERT_TRUE(range_watched().count(inner));
+  ASSERT_LT(range_watched().size(), live.size());
+
+  SubscriptionSpec ids;
+  ids.selector = SubscriptionSpec::Selector::kPolygonIds;
+  ids.polygon_ids = {0, 1, 2, 3, 4, 5, inner};
+  Folded all_f, ids_f, range_f;
+  ASSERT_TRUE(matcher.Add(0, SubscriptionSpec{}, all_f.log.Sink()));
+  ASSERT_TRUE(matcher.Add(0, ids, ids_f.log.Sink()));
+  auto range_info = matcher.Add(0, range, range_f.log.Sink());
+  ASSERT_TRUE(range_info);
+  EXPECT_EQ(range_info->watched_polygons, range_watched().size());
+  EXPECT_GT(range_info->coverage_intervals, 0u);
+
+  // The ENTER-only subscriber is added later; it models membership as the
+  // oracle at each transition it saw, so its ENTERs are the oracle's
+  // positive diff — everything, for a track it has never seen.
+  EventLog enter_log;
+  uint64_t enter_seq = 1;
+  bool enter_added = false;
+  std::map<uint32_t, std::set<uint32_t>> enter_model;
+
+  auto check = [&](const char* step) {
+    SCOPED_TRACE(step);
+    const std::set<uint32_t> ids_set(ids.polygon_ids.begin(),
+                                     ids.polygon_ids.end());
+    const std::set<uint32_t> range_set = range_watched();
+    struct Case {
+      Folded* f;
+      const std::set<uint32_t>* watched;  // null: every live polygon
+    };
+    for (Case c : {Case{&all_f, nullptr}, Case{&ids_f, &ids_set},
+                   Case{&range_f, &range_set}}) {
+      FoldAndCheck(c.f->log.Take(), &c.f->next_seq, &c.f->membership);
+      for (uint64_t t = 0; t < kTracks; ++t) {
+        std::set<uint32_t> want;
+        for (uint32_t id : OracleMembership(live, point_of(t))) {
+          if (c.watched == nullptr || c.watched->count(id)) want.insert(id);
+        }
+        auto it = c.f->membership.find(static_cast<uint32_t>(t));
+        std::set<uint32_t> got =
+            it == c.f->membership.end() ? std::set<uint32_t>{} : it->second;
+        EXPECT_EQ(got, want) << "track " << t;
+      }
+    }
+
+    std::vector<GeoEvent> got;
+    for (const EventBatch& b : enter_log.Take()) {
+      EXPECT_EQ(b.first_seq, enter_seq);
+      enter_seq += b.events.size();
+      got.insert(got.end(), b.events.begin(), b.events.end());
+    }
+    std::vector<GeoEvent> want;
+    if (enter_added) {
+      for (uint64_t t = 0; t < kTracks; ++t) {
+        const uint32_t id = static_cast<uint32_t>(t);
+        std::set<uint32_t> now = OracleMembership(live, point_of(t));
+        std::set<uint32_t>& before = enter_model[id];
+        for (uint32_t p : now) {
+          if (!before.count(p)) want.push_back({GeoEventKind::kEnter, id, p});
+        }
+        before = now;
+      }
+    }
+    EXPECT_EQ(got, want);
+  };
+
+  submit();  // first sighting of every track
+  check("first sighting");
+  for (uint64_t t = 0; t < kTracks; t += 3) at[t] = 1;
+  submit();
+  check("a third of the fleet moves");
+
+  const std::set<uint32_t> removed_set = {1, 3, inner};
+  const std::vector<uint32_t> removed(removed_set.begin(), removed_set.end());
+  ASSERT_EQ(service.RemovePolygons(0, removed).status,
+            service::MutationStatus::kApplied);
+  for (uint32_t id : removed) live.erase(id);
+  check("remove");
+
+  // Mid-stream, while nine tracks in ten stand still: the newcomer must
+  // still see every track's memberships on its first batch.
+  SubscriptionSpec enter_only;
+  enter_only.mode = SubscriptionMode::kEnterOnly;
+  ASSERT_TRUE(matcher.Add(0, enter_only, enter_log.Sink()));
+  enter_added = true;
+  for (uint64_t t = 1; t < kTracks; t += 10) at[t] = 2;
+  submit();
+  check("late subscriber, mostly stationary fleet");
+  EXPECT_FALSE(enter_model.empty());
+
+  // Re-adding the removed polygons under fresh ids touches the cell
+  // region again: the range subscription's watched set grows on the swap.
+  std::vector<geom::Polygon> readd;
+  for (uint32_t id : removed) readd.push_back(ds.polygons[id]);
+  service::MutationResult add = service.AddPolygons(0, readd);
+  ASSERT_EQ(add.status, service::MutationStatus::kApplied);
+  for (size_t i = 0; i < readd.size(); ++i) {
+    live.emplace(add.first_id + static_cast<uint32_t>(i), readd[i]);
+  }
+  const uint32_t inner_copy =
+      add.first_id + static_cast<uint32_t>(std::distance(
+                         removed.begin(), std::find(removed.begin(),
+                                                    removed.end(), inner)));
+  EXPECT_TRUE(range_watched().count(inner_copy));
+  check("add touching the cell region");
+  EXPECT_TRUE(range_f.membership[static_cast<uint32_t>(t0)].count(inner_copy));
+
+  for (uint64_t t = 2; t < kTracks; t += 4) at[t] = 0;
+  submit();
+  check("motion after the add");
+  const uint64_t emitted = matcher.events_emitted();
+  submit();  // the identical batch again: nothing moves, nothing fires
+  check("repeated batch");
+  EXPECT_EQ(matcher.events_emitted(), emitted);
+}
+
+TEST(SubscribeMatcher, SharedProbeCountsEachReevaluatedTrackOnce) {
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.05);
+  service::ServiceCatalog catalog;
+  ASSERT_TRUE(catalog.Add("zones", BuildShared(ds.polygons, grid, 2)));
+  SubscriptionMatcher one(&catalog), four(&catalog);
+  util::MetricsRegistry one_metrics, four_metrics;
+  one.RegisterMetrics(&one_metrics);
+  four.RegisterMetrics(&four_metrics);
+  auto probed = [](const util::MetricsRegistry& registry) {
+    for (const util::MetricSample& s :
+         util::FlattenSamples(registry.Collect())) {
+      if (s.name == "subscription_points_probed_total") {
+        return static_cast<uint64_t>(s.value);
+      }
+    }
+    ADD_FAILURE() << "subscription_points_probed_total not registered";
+    return uint64_t{0};
+  };
+
+  EventLog log;
+  ASSERT_TRUE(one.Add(0, SubscriptionSpec{}, log.Sink()));
+  SubscriptionSpec ids, range, enter;
+  ids.selector = SubscriptionSpec::Selector::kPolygonIds;
+  ids.polygon_ids = {0, 1, 2};
+  range.selector = SubscriptionSpec::Selector::kCellRange;
+  range.cell_hi = UINT64_MAX / 2;
+  enter.mode = SubscriptionMode::kEnterOnly;
+  for (const SubscriptionSpec& spec : {SubscriptionSpec{}, ids, range, enter}) {
+    ASSERT_TRUE(four.Add(0, spec, log.Sink()));
+  }
+
+  const uint64_t kTracks = 80;
+  wl::PointSet pos_a = wl::TaxiPoints(ds.mbr, kTracks, grid, 91);
+  wl::PointSet pos_b = wl::TaxiPoints(ds.mbr, kTracks, grid, 92);
+  std::vector<uint64_t> cells(pos_a.cell_ids().begin(),
+                              pos_a.cell_ids().end());
+  std::vector<geom::Point> points(pos_a.points().begin(),
+                                  pos_a.points().end());
+  // Feeds the first n tracks to both matchers; returns each one's growth
+  // of the counter.
+  auto feed = [&](size_t n) {
+    const uint64_t one_before = probed(one_metrics);
+    const uint64_t four_before = probed(four_metrics);
+    one.OnPointBatch(0, std::span(cells).first(n), std::span(points).first(n));
+    four.OnPointBatch(0, std::span(cells).first(n),
+                      std::span(points).first(n));
+    return std::pair(probed(one_metrics) - one_before,
+                     probed(four_metrics) - four_before);
+  };
+  using Growth = std::pair<uint64_t, uint64_t>;
+
+  EXPECT_EQ(feed(64), Growth(64, 64));  // every track is new
+  EXPECT_EQ(feed(64), Growth(0, 0));    // an identical batch probes nothing
+  uint64_t moved = 0;
+  for (uint64_t t = 0; t < 64; t += 4) {
+    if (pos_b.points()[t] != points[t]) ++moved;
+    cells[t] = pos_b.cell_ids()[t];
+    points[t] = pos_b.points()[t];
+  }
+  ASSERT_GT(moved, 0u);
+  EXPECT_EQ(feed(64), Growth(moved, moved));  // only the moved tracks
+  EXPECT_EQ(feed(kTracks), Growth(kTracks - 64, kTracks - 64));  // new tail
+  EXPECT_EQ(feed(kTracks), Growth(0, 0));
+
+  // A fresh subscription knows no track yet, so the next batch re-evaluates
+  // all of them — once, however many subscriptions already knew them.
+  ASSERT_TRUE(four.Add(0, SubscriptionSpec{}, log.Sink()));
+  EXPECT_EQ(feed(kTracks), Growth(0, kTracks));
+  EXPECT_EQ(one.points_probed(), probed(one_metrics));
+}
+
+/// Folds `batches` into fresh per-track memberships and checks each of the
+/// first `n` tracks against the oracle over every polygon of `ds`.
+void ExpectFirstSightingMatchesOracle(const std::vector<EventBatch>& batches,
+                                      const wl::PolygonDataset& ds,
+                                      std::span<const geom::Point> points) {
+  std::map<uint32_t, geom::Polygon> live;
+  for (size_t i = 0; i < ds.polygons.size(); ++i) {
+    live.emplace(static_cast<uint32_t>(i), ds.polygons[i]);
+  }
+  uint64_t next_seq = 1;
+  std::map<uint32_t, std::set<uint32_t>> membership;
+  FoldAndCheck(batches, &next_seq, &membership);
+  EXPECT_GT(next_seq, 1u);
+  for (size_t t = 0; t < points.size(); ++t) {
+    auto it = membership.find(static_cast<uint32_t>(t));
+    std::set<uint32_t> got =
+        it == membership.end() ? std::set<uint32_t>{} : it->second;
+    EXPECT_EQ(got, OracleMembership(live, points[t])) << "track " << t;
+  }
+}
+
+TEST(SubscribeMatcher, AddDoesNotWaitForARunningTransition) {
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.05);
+  service::ServiceCatalog catalog;
+  ASSERT_TRUE(catalog.Add("zones", BuildShared(ds.polygons, grid, 2)));
+  SubscriptionMatcher matcher(&catalog);
+
+  // The first delivery blocks until released, so the feeding thread sits
+  // inside a transition, holding the dataset's subscription lock.
+  std::promise<void> entered, release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> blocked{false};
+  ASSERT_TRUE(matcher.Add(0, SubscriptionSpec{}, [&](EventBatch&&) {
+    if (!blocked.exchange(true)) {
+      entered.set_value();
+      released.wait();
+    }
+  }));
+  wl::PointSet pos = wl::TaxiPoints(ds.mbr, 64, grid, 97);
+  std::thread feeder(
+      [&] { matcher.OnPointBatch(0, pos.cell_ids(), pos.points()); });
+  const bool in_transition =
+      entered.get_future().wait_for(std::chrono::seconds(10)) ==
+      std::future_status::ready;
+
+  // A subscriber connecting now, and one that connects and leaves before
+  // any batch, must not wait for the running transition.
+  EventLog log;
+  auto late = std::async(std::launch::async, [&] {
+    return matcher.Add(0, SubscriptionSpec{}, log.Sink());
+  });
+  auto fleeting = std::async(std::launch::async, [&] {
+    auto info = matcher.Add(0, SubscriptionSpec{}, log.Sink());
+    return info.has_value() && matcher.Remove(info->id);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const bool add_returned =
+      late.wait_until(deadline) == std::future_status::ready;
+  const bool remove_returned =
+      fleeting.wait_until(deadline) == std::future_status::ready;
+  release.set_value();
+  feeder.join();
+  ASSERT_TRUE(in_transition) << "the first batch delivered nothing";
+  EXPECT_TRUE(add_returned) << "Add waited for the in-flight transition";
+  EXPECT_TRUE(remove_returned)
+      << "Remove of a queued subscription waited for the transition";
+  ASSERT_TRUE(late.get().has_value());
+  EXPECT_TRUE(fleeting.get());
+  EXPECT_EQ(matcher.active_subscriptions(), 2u);
+  EXPECT_TRUE(log.Take().empty());
+
+  // The queued subscription joins at the next transition: a first sighting
+  // of every track, even though none of them moved.
+  matcher.OnPointBatch(0, pos.cell_ids(), pos.points());
+  ExpectFirstSightingMatchesOracle(log.Take(), ds, pos.points());
+}
+
+TEST(SubscribeMatcher, LastRemoveFreesSharedTrackState) {
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.05);
+  service::ServiceCatalog catalog;
+  ASSERT_TRUE(catalog.Add("zones", BuildShared(ds.polygons, grid, 2)));
+  SubscriptionMatcher matcher(&catalog);
+  util::MetricsRegistry metrics;
+  matcher.RegisterMetrics(&metrics);
+  auto held_gauge = [&] {
+    for (const util::MetricSample& s :
+         util::FlattenSamples(metrics.Collect())) {
+      if (s.name == "subscription_tracks_held") {
+        return static_cast<size_t>(s.value);
+      }
+    }
+    ADD_FAILURE() << "subscription_tracks_held not registered";
+    return size_t{0};
+  };
+
+  EventLog log;
+  SubscriptionSpec ids;
+  ids.selector = SubscriptionSpec::Selector::kPolygonIds;
+  ids.polygon_ids = {0, 1, 2};
+  auto a = matcher.Add(0, SubscriptionSpec{}, log.Sink());
+  auto b = matcher.Add(0, ids, log.Sink());
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(matcher.tracks_held(), 0u);
+
+  const size_t kTracks = 80;
+  wl::PointSet pos = wl::TaxiPoints(ds.mbr, kTracks, grid, 98);
+  const std::span<const uint64_t> cells = pos.cell_ids();
+  const std::span<const geom::Point> points = pos.points();
+  matcher.OnPointBatch(0, cells.first(48), points.first(48));
+  EXPECT_EQ(matcher.tracks_held(), 48u);
+  matcher.OnPointBatch(0, cells, points);
+  EXPECT_EQ(matcher.tracks_held(), kTracks);
+  EXPECT_EQ(held_gauge(), kTracks);
+
+  EXPECT_TRUE(matcher.Remove(a->id));
+  EXPECT_EQ(matcher.tracks_held(), kTracks);  // b still knows every track
+  EXPECT_TRUE(matcher.Remove(b->id));
+  EXPECT_EQ(matcher.tracks_held(), 0u);
+  EXPECT_EQ(held_gauge(), 0u);
+  log.Take();
+
+  // A subscriber arriving after the reset starts from nothing: the same
+  // positions are probed again and every track's memberships ENTER.
+  ASSERT_TRUE(matcher.Add(0, SubscriptionSpec{}, log.Sink()));
+  const uint64_t probed = matcher.points_probed();
+  matcher.OnPointBatch(0, cells, points);
+  EXPECT_EQ(matcher.points_probed() - probed, kTracks);
+  EXPECT_EQ(matcher.tracks_held(), kTracks);
+  ExpectFirstSightingMatchesOracle(log.Take(), ds, points);
 }
 
 // --- Served push channel over loopback -------------------------------------

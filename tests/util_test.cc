@@ -431,7 +431,7 @@ TEST(WorkStealingPool, SkewedTaskCostsStillComplete) {
   pool.Run(64, [&](uint64_t t) {
     volatile uint64_t sink = 0;
     const uint64_t spin = t == 0 ? 2'000'000 : 1'000;
-    for (uint64_t i = 0; i < spin; ++i) sink += i;
+    for (uint64_t i = 0; i < spin; ++i) sink = sink + i;
     done.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(done.load(), 64u);
