@@ -20,13 +20,13 @@ namespace {
 
 double MeasureTrieThroughput(const act::EncodedCovering& enc,
                              const act::ActOptions& opts,
-                             const std::vector<geom::Polygon>& polys,
+                             const geom::PolygonSlab& slab,
                              const act::JoinInput& input, int reps) {
   act::AdaptiveCellTrie trie(enc, opts);
   double best = 0;
   for (int r = 0; r < reps; ++r) {
     act::JoinStats stats = act::ExecuteJoin(
-        trie, enc.table, input, polys, {act::JoinMode::kApproximate, 1});
+        trie, enc.table, input, slab, {act::JoinMode::kApproximate, 1});
     best = std::max(best, stats.ThroughputMps());
   }
   NoteThroughput(best);
@@ -42,6 +42,7 @@ int Run(int argc, char** argv) {
   act::SuperCovering sc = BuildCovering(ds, env, classifier, 15.0, nullptr);
   act::EncodedCovering enc = act::Encode(sc);
   act::EncodedCovering enc_no_inline = act::Encode(sc, /*inline_refs=*/false);
+  const geom::PolygonSlab slab(ds.polygons);
   wl::PointSet pts = Taxi(env, ds.mbr);
   act::JoinInput input = pts.AsJoinInput();
 
@@ -53,7 +54,7 @@ int Run(int argc, char** argv) {
   for (int bits : {2, 3, 4, 6, 8}) {
     act::AdaptiveCellTrie trie(enc, {.bits_per_level = bits});
     double tput = MeasureTrieThroughput(enc, {.bits_per_level = bits},
-                                        ds.polygons, input, env.reps);
+                                        slab, input, env.reps);
     fanout.AddRow({util::TablePrinter::FmtInt(bits),
                    util::TablePrinter::Fmt(bits / 2.0, 1),
                    util::TablePrinter::FmtInt(trie.stats().node_count),
@@ -70,7 +71,7 @@ int Run(int argc, char** argv) {
     act::ActOptions opts{.bits_per_level = 8, .use_root_prefix = use_prefix};
     act::AdaptiveCellTrie trie(enc, opts);
     double tput =
-        MeasureTrieThroughput(enc, opts, ds.polygons, input, env.reps);
+        MeasureTrieThroughput(enc, opts, slab, input, env.reps);
     prefix.AddRow({use_prefix ? "on" : "off",
                    util::TablePrinter::FmtInt(trie.stats().node_count),
                    util::TablePrinter::Fmt(tput, 2)});
@@ -84,13 +85,13 @@ int Run(int argc, char** argv) {
   inlined.AddRow({"inline <=2 refs", Mib(enc.table.SizeBytes()),
                   util::TablePrinter::Fmt(
                       MeasureTrieThroughput(enc, {.bits_per_level = 8},
-                                            ds.polygons, input, env.reps),
+                                            slab, input, env.reps),
                       2)});
   inlined.AddRow(
       {"table only", Mib(enc_no_inline.table.SizeBytes()),
        util::TablePrinter::Fmt(
            MeasureTrieThroughput(enc_no_inline, {.bits_per_level = 8},
-                                 ds.polygons, input, env.reps),
+                                 slab, input, env.reps),
            2)});
   Emit(env, inlined);
 
@@ -109,8 +110,8 @@ int Run(int argc, char** argv) {
     act::EncodedCovering curve_enc = act::Encode(curve_sc);
     wl::PointSet curve_pts = wl::TaxiPoints(ds.mbr, env.points, grid, 7);
     double tput = MeasureTrieThroughput(curve_enc, {.bits_per_level = 8},
-                                        ds.polygons,
-                                        curve_pts.AsJoinInput(), env.reps);
+                                        slab, curve_pts.AsJoinInput(),
+                                        env.reps);
     curves.AddRow({geo::CurveName(curve),
                    util::TablePrinter::FmtInt(curve_sc.size()),
                    util::TablePrinter::Fmt(tput, 2)});
@@ -151,7 +152,7 @@ int Run(int argc, char** argv) {
     double best = 0;
     for (int r = 0; r < env.reps; ++r) {
       act::JoinStats stats =
-          act::ExecuteJoin(gbt, enc.table, input, ds.polygons,
+          act::ExecuteJoin(gbt, enc.table, input, slab,
                            {act::JoinMode::kApproximate, 1});
       best = std::max(best, stats.ThroughputMps());
     }

@@ -77,14 +77,13 @@ namespace {
 template <typename Index>
 StructureRun MeasureJoin(const std::string& name, const Index& index,
                          const act::LookupTable& table,
-                         const std::vector<geom::Polygon>& polygons,
+                         const geom::PolygonSlab& slab,
                          const act::JoinInput& input,
                          const act::JoinOptions& opts, int reps) {
   StructureRun run;
   run.name = name;
   for (int r = 0; r < reps; ++r) {
-    act::JoinStats stats = act::ExecuteJoin(index, table, input, polygons,
-                                            opts);
+    act::JoinStats stats = act::ExecuteJoin(index, table, input, slab, opts);
     if (stats.ThroughputMps() > run.mpoints_s) {
       run.mpoints_s = stats.ThroughputMps();
       run.stats = stats;
@@ -101,6 +100,7 @@ std::vector<StructureRun> RunAllStructures(
     const std::vector<geom::Polygon>& polygons, const act::JoinInput& input,
     const act::JoinOptions& opts, int reps) {
   std::vector<StructureRun> out;
+  const geom::PolygonSlab slab(polygons);
   util::WallTimer timer;
 
   for (int bits : {2, 4, 8}) {
@@ -108,7 +108,7 @@ std::vector<StructureRun> RunAllStructures(
     act::AdaptiveCellTrie trie(enc, {.bits_per_level = bits});
     double build_s = timer.ElapsedSeconds();
     StructureRun run = MeasureJoin("ACT" + std::to_string(bits / 2),
-                                   trie, enc.table, polygons, input, opts,
+                                   trie, enc.table, slab, input, opts,
                                    reps);
     run.build_s = build_s;
     run.bytes = trie.stats().memory_bytes;
@@ -119,14 +119,14 @@ std::vector<StructureRun> RunAllStructures(
   baselines::BTreeCellIndex gbt(enc);
   double gbt_build = timer.ElapsedSeconds();
   StructureRun gbt_run =
-      MeasureJoin("GBT", gbt, enc.table, polygons, input, opts, reps);
+      MeasureJoin("GBT", gbt, enc.table, slab, input, opts, reps);
   gbt_run.build_s = gbt_build;
   gbt_run.bytes = gbt.MemoryBytes();
   out.push_back(std::move(gbt_run));
 
   baselines::SortedVectorIndex lb(enc);
   StructureRun lb_run =
-      MeasureJoin("LB", lb, enc.table, polygons, input, opts, reps);
+      MeasureJoin("LB", lb, enc.table, slab, input, opts, reps);
   lb_run.build_s = 0;  // covering is already sorted (paper Sec. 4.1)
   lb_run.bytes = lb.MemoryBytes();
   out.push_back(std::move(lb_run));

@@ -30,6 +30,7 @@ int Run(int argc, char** argv) {
                             "throughput [M points/s]", "passes"});
   for (const wl::PolygonDataset& ds : NycDatasets(env)) {
     act::PolygonClassifier classifier(ds.polygons, env.grid, env.threads);
+    const geom::PolygonSlab slab(ds.polygons);
     wl::PointSet pts = Taxi(env, ds.mbr);
     act::JoinInput input = pts.AsJoinInput();
 
@@ -52,7 +53,7 @@ int Run(int argc, char** argv) {
       double act_best = 0;
       for (int r = 0; r < env.reps; ++r) {
         act::JoinStats stats =
-            act::ExecuteJoin(trie, enc.table, input, ds.polygons, jopts);
+            act::ExecuteJoin(trie, enc.table, input, slab, jopts);
         act_best = std::max(act_best, stats.ThroughputMps());
       }
       NoteThroughput(act_best);

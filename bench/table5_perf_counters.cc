@@ -22,11 +22,11 @@ struct CounterRow {
 template <typename Index>
 CounterRow MeasureCounters(const Index& index, const act::LookupTable& table,
                            const act::JoinInput& input,
-                           const std::vector<geom::Polygon>& polys) {
+                           const geom::PolygonSlab& slab) {
   util::PerfCounterGroup group;
   group.Start();
   act::JoinStats stats = act::ExecuteJoin(
-      index, table, input, polys, {act::JoinMode::kApproximate, 1});
+      index, table, input, slab, {act::JoinMode::kApproximate, 1});
   util::PerfSample sample = group.Stop();
   NoteThroughput(stats.ThroughputMps());
   CounterRow row;
@@ -65,6 +65,7 @@ int Run(int argc, char** argv) {
   act::PolygonClassifier classifier(ds.polygons, env.grid, env.threads);
   act::SuperCovering sc = BuildCovering(ds, env, classifier, 4.0, nullptr);
   act::EncodedCovering enc = act::Encode(sc);
+  const geom::PolygonSlab slab(ds.polygons);
 
   util::TablePrinter table({"points", "index", "cycles", "instructions",
                             "branch misses", "cache misses"});
@@ -75,20 +76,20 @@ int Run(int argc, char** argv) {
 
     for (int bits : {2, 4, 8}) {
       act::AdaptiveCellTrie trie(enc, {.bits_per_level = bits});
-      CounterRow row = MeasureCounters(trie, enc.table, input, ds.polygons);
+      CounterRow row = MeasureCounters(trie, enc.table, input, slab);
       table.AddRow({kind, "ACT" + std::to_string(bits / 2),
                     FmtCounter(row.cycles, 1), FmtCounter(row.instructions, 1),
                     FmtCounter(row.branch_misses, 2),
                     FmtCounter(row.cache_misses, 2)});
     }
     baselines::BTreeCellIndex gbt(enc);
-    CounterRow gbt_row = MeasureCounters(gbt, enc.table, input, ds.polygons);
+    CounterRow gbt_row = MeasureCounters(gbt, enc.table, input, slab);
     table.AddRow({kind, "GBT", FmtCounter(gbt_row.cycles, 1),
                   FmtCounter(gbt_row.instructions, 1),
                   FmtCounter(gbt_row.branch_misses, 2),
                   FmtCounter(gbt_row.cache_misses, 2)});
     baselines::SortedVectorIndex lb(enc);
-    CounterRow lb_row = MeasureCounters(lb, enc.table, input, ds.polygons);
+    CounterRow lb_row = MeasureCounters(lb, enc.table, input, slab);
     table.AddRow({kind, "LB", FmtCounter(lb_row.cycles, 1),
                   FmtCounter(lb_row.instructions, 1),
                   FmtCounter(lb_row.branch_misses, 2),

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-shot build & verification runner.
 #
-#   scripts/check.sh              # release build + full ctest suite
+#   scripts/check.sh              # release build (-Werror) + full ctest suite
 #   scripts/check.sh asan         # the same under AddressSanitizer
 #   scripts/check.sh ubsan        # the same under UBSan
 #   scripts/check.sh tsan         # serving-layer suite under ThreadSanitizer
@@ -16,8 +16,12 @@ cd "$(dirname "$0")/.."
 
 run_preset() {
   local preset=$1; shift
+  # The release build stays warning-free: a new warning fails it here.
+  # (CI configures its presets itself, without this flag.)
+  local werror=OFF
+  [ "${preset}" = release ] && werror=ON
   echo "==> ${preset}: configure"
-  cmake --preset "${preset}"
+  cmake --preset "${preset}" -DACTJOIN_WERROR="${werror}"
   echo "==> ${preset}: build"
   cmake --build --preset "${preset}" -j "$(nproc)"
   echo "==> ${preset}: ctest"

@@ -3,8 +3,8 @@
 // Owns one edge-grid accelerator per polygon (built in parallel, reused by
 // covering computation, precision refinement, and index training). This is
 // build-time machinery only: the join kernel's refine pass (act/join.h)
-// prefetches its candidates but still runs the raw O(edges) PIP test on
-// each, to keep the paper's cost model.
+// still runs the O(edges) crossing-number test on each candidate, from its
+// geom::PolygonSlab record, to keep the paper's cost model.
 
 #ifndef ACTJOIN_ACT_CLASSIFIER_H_
 #define ACTJOIN_ACT_CLASSIFIER_H_

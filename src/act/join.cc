@@ -1,5 +1,7 @@
 #include "act/join.h"
 
+#include "geometry/pip.h"
+
 namespace actjoin::act {
 
 std::vector<std::pair<uint64_t, uint32_t>> BruteForceJoinPairs(

@@ -6,7 +6,7 @@
 //     distance of any false positive to its polygon is bounded by the
 //     diagonal of the largest boundary cell), or
 //   * exact mode: refine candidate hits with the O(edges) ray-tracing PIP
-//     test.
+//     test, read from the polygons' geom::PolygonSlab records.
 //
 // ExecuteJoin and ExecuteJoinPairs run one blocked kernel. Each block of
 // kJoinBlock points goes through three passes:
@@ -16,8 +16,10 @@
 //   2. visit: each entry's references are walked; true hits (and, in
 //      approximate mode, candidates) are results, exact-mode candidates
 //      are gathered as (polygon id, point) pairs;
-//   3. refine: every gathered candidate's polygon and first ring are
-//      prefetched, then the raw PIP test runs over the gathered pairs.
+//   3. refine: every gathered candidate's slab record is prefetched, then
+//      PolygonSlab::Contains (the MBR reject, then the division-free
+//      geom::RingCrossings per ring over the record's contiguous vertices)
+//      runs over the gathered pairs.
 //
 // ExecuteJoin is templated over the index so ACT and the B-tree /
 // sorted-vector baselines run byte-identical join code; only the probe
@@ -36,8 +38,8 @@
 
 #include "act/lookup_table.h"
 #include "act/tagged_entry.h"
-#include "geometry/pip.h"
 #include "geometry/polygon.h"
+#include "geometry/polygon_slab.h"
 #include "util/parallel_for.h"
 #include "util/timer.h"
 
@@ -121,9 +123,8 @@ struct RefineCandidate {
 /// the calling thread's reusable refine buffer.
 template <typename Index, typename Emit>
 void JoinBlock(const Index& index, const LookupTable& table,
-               const JoinInput& input,
-               const std::vector<geom::Polygon>& polygons, bool exact,
-               uint64_t begin, uint64_t end,
+               const JoinInput& input, const geom::PolygonSlab& slab,
+               bool exact, uint64_t begin, uint64_t end,
                std::vector<RefineCandidate>* candidates, JoinStats* c,
                Emit&& emit) {
   const uint32_t m = static_cast<uint32_t>(end - begin);
@@ -161,19 +162,13 @@ void JoinBlock(const Index& index, const LookupTable& table,
   }
 
   // 3. Refine. The prefetches overlap the misses on the candidates'
-  // polygons and vertex arrays; a polygon without rings has no vertex
-  // array to touch.
+  // records.
   for (const RefineCandidate& cand : *candidates) {
-    __builtin_prefetch(&polygons[cand.polygon_id]);
-  }
-  for (const RefineCandidate& cand : *candidates) {
-    const std::vector<geom::Ring>& rings = polygons[cand.polygon_id].rings();
-    if (!rings.empty()) __builtin_prefetch(rings.front().data());
+    slab.Prefetch(cand.polygon_id);
   }
   c->pip_tests += candidates->size();
   for (const RefineCandidate& cand : *candidates) {
-    if (geom::ContainsPoint(polygons[cand.polygon_id],
-                            input.points[begin + cand.point])) {
+    if (slab.Contains(cand.polygon_id, input.points[begin + cand.point])) {
       ++c->pip_hits;
       hit(cand.point, cand.polygon_id);
     }
@@ -186,11 +181,12 @@ void JoinBlock(const Index& index, const LookupTable& table,
 /// Runs the join. `Index` must provide
 ///   void ProbeBatch(const uint64_t* leaf_cell_ids, uint64_t n,
 ///                   TaggedEntry* out) const;
-/// writing the same entries a per-id Probe would.
+/// writing the same entries a per-id Probe would. `slab` holds one record
+/// per polygon id the index references; per-polygon counts have
+/// slab.size() entries.
 template <typename Index>
 JoinStats ExecuteJoin(const Index& index, const LookupTable& table,
-                      const JoinInput& input,
-                      const std::vector<geom::Polygon>& polygons,
+                      const JoinInput& input, const geom::PolygonSlab& slab,
                       const JoinOptions& opts) {
   int threads = opts.threads <= 0 ? util::DefaultThreadCount() : opts.threads;
   const bool exact = opts.mode == JoinMode::kExact;
@@ -203,13 +199,13 @@ JoinStats ExecuteJoin(const Index& index, const LookupTable& table,
     JoinStats probe;  // counters only
   };
   std::vector<ThreadState> states(threads);
-  for (auto& s : states) s.counts.assign(polygons.size(), 0);
+  for (auto& s : states) s.counts.assign(slab.size(), 0);
 
   util::WallTimer timer;
   util::ParallelFor(
       n, threads, kJoinBlock, [&](uint64_t begin, uint64_t end, int tid) {
         ThreadState& st = states[tid];
-        internal::JoinBlock(index, table, input, polygons, exact, begin, end,
+        internal::JoinBlock(index, table, input, slab, exact, begin, end,
                             &st.candidates, &st.probe,
                             [&](uint64_t, uint32_t pid) { ++st.counts[pid]; });
       });
@@ -217,7 +213,7 @@ JoinStats ExecuteJoin(const Index& index, const LookupTable& table,
   JoinStats out;
   out.seconds = timer.ElapsedSeconds();
   out.num_points = n;
-  out.counts.assign(polygons.size(), 0);
+  out.counts.assign(slab.size(), 0);
   for (const ThreadState& st : states) {
     out.AccumulateCounters(st.probe);
     for (size_t k = 0; k < out.counts.size(); ++k) {
@@ -239,14 +235,14 @@ JoinStats ExecuteJoin(const Index& index, const LookupTable& table,
 template <typename Index>
 std::vector<std::pair<uint64_t, uint32_t>> ExecuteJoinPairs(
     const Index& index, const LookupTable& table, const JoinInput& input,
-    const std::vector<geom::Polygon>& polygons, JoinMode mode) {
+    const geom::PolygonSlab& slab, JoinMode mode) {
   std::vector<std::pair<uint64_t, uint32_t>> out;
   std::vector<internal::RefineCandidate> candidates;
   JoinStats counters;  // the kernel's tally; pairs are the result here
   util::ParallelFor(
       input.size(), 1, kJoinBlock, [&](uint64_t begin, uint64_t end, int) {
         internal::JoinBlock(
-            index, table, input, polygons, mode == JoinMode::kExact, begin,
+            index, table, input, slab, mode == JoinMode::kExact, begin,
             end, &candidates, &counters,
             [&](uint64_t p, uint32_t pid) { out.emplace_back(p, pid); });
       });
@@ -254,7 +250,8 @@ std::vector<std::pair<uint64_t, uint32_t>> ExecuteJoinPairs(
   return out;
 }
 
-/// Reference (index-free) nested-loop join; the oracle for all tests.
+/// Reference (index-free) nested-loop join through geom::ContainsPoint on
+/// the Polygon objects; the oracle for all tests.
 std::vector<std::pair<uint64_t, uint32_t>> BruteForceJoinPairs(
     const JoinInput& input, const std::vector<geom::Polygon>& polygons);
 

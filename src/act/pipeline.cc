@@ -67,6 +67,7 @@ PolygonIndex PolygonIndex::Build(const std::vector<geom::Polygon>& polygons,
                                  const BuildOptions& opts) {
   PolygonIndex index(grid);
   index.polygons_ = polygons;
+  index.slab_ = geom::PolygonSlab(index.polygons_);
   index.opts_ = opts;
   index.RebuildClassifier();
   index.covering_ = BuildSuperCovering(index.polygons_, index.grid_,
@@ -82,6 +83,7 @@ PolygonIndex PolygonIndex::FromComponents(std::vector<geom::Polygon> polygons,
                                           SuperCovering covering) {
   PolygonIndex index(grid);
   index.polygons_ = std::move(polygons);
+  index.slab_ = geom::PolygonSlab(index.polygons_);
   index.opts_ = opts;
   index.covering_ = std::move(covering);
   index.RebuildClassifier();
@@ -102,7 +104,10 @@ uint32_t PolygonIndex::AddPolygons(
   ACT_CHECK_MSG(polygons_.size() + new_polygons.size() <=
                     kMaxPolygonId + uint64_t{1},
                 "polygon ids are limited to 30 bits");
-  for (const geom::Polygon& p : new_polygons) polygons_.push_back(p);
+  for (const geom::Polygon& p : new_polygons) {
+    polygons_.push_back(p);
+    slab_.Append(p);
+  }
   // The owned vector may have reallocated; the classifier's edge grids
   // reference elements, so rebuild it over the full set.
   RebuildClassifier();

@@ -26,6 +26,7 @@
 #include "cover/coverer.h"
 #include "geo/grid.h"
 #include "geometry/polygon.h"
+#include "geometry/polygon_slab.h"
 
 namespace actjoin::act {
 
@@ -51,7 +52,8 @@ struct BuildTimings {
 };
 
 /// A fully built polygon index. Owns a copy of the polygons, so the index
-/// can outlive (and extend) the input set.
+/// can outlive (and extend) the input set, and their geom::PolygonSlab, the
+/// layout the exact join refines from (one record per polygon id).
 class PolygonIndex {
  public:
   static PolygonIndex Build(const std::vector<geom::Polygon>& polygons,
@@ -105,12 +107,12 @@ class PolygonIndex {
   void RemovePolygons(std::span<const uint32_t> polygon_ids);
 
   JoinStats Join(const JoinInput& points, const JoinOptions& opts) const {
-    return ExecuteJoin(*trie_, encoded_.table, points, polygons_, opts);
+    return ExecuteJoin(*trie_, encoded_.table, points, slab_, opts);
   }
 
   std::vector<std::pair<uint64_t, uint32_t>> JoinPairs(const JoinInput& points,
                                                        JoinMode mode) const {
-    return ExecuteJoinPairs(*trie_, encoded_.table, points, polygons_, mode);
+    return ExecuteJoinPairs(*trie_, encoded_.table, points, slab_, mode);
   }
 
   const AdaptiveCellTrie& trie() const { return *trie_; }
@@ -118,6 +120,7 @@ class PolygonIndex {
   const EncodedCovering& encoded() const { return encoded_; }
   const PolygonClassifier& classifier() const { return *classifier_; }
   const std::vector<geom::Polygon>& polygons() const { return polygons_; }
+  const geom::PolygonSlab& slab() const { return slab_; }
   const geo::Grid& grid() const { return grid_; }
   const BuildOptions& options() const { return opts_; }
   const BuildTimings& timings() const { return timings_; }
@@ -134,6 +137,7 @@ class PolygonIndex {
   void Reencode();
 
   std::vector<geom::Polygon> polygons_;
+  geom::PolygonSlab slab_;  // appended with polygons_; ids never reused
   geo::Grid grid_;
   BuildOptions opts_;
   std::unique_ptr<PolygonClassifier> classifier_;

@@ -117,7 +117,8 @@ class RTree {
 };
 
 /// Filter-and-refine join: probe the R-tree per point, PIP-test every
-/// candidate. Thread batching identical to the ACT join driver.
+/// candidate through a geom::PolygonSlab built once per call (the ACT
+/// join's refine code). Thread batching identical to the ACT join driver.
 act::JoinStats RTreeJoin(const RTree& tree,
                          const std::vector<geom::Polygon>& polygons,
                          const act::JoinInput& input, int threads);

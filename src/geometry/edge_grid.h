@@ -11,9 +11,9 @@
 //
 // Join-time refinement deliberately does NOT use this class: the paper's
 // exact join performs the classic O(edges) PIP test, and the benchmarks must
-// preserve that cost model. The blocked join kernel (act/join.h) only
-// prefetches each candidate's polygon and vertices before that same raw
-// geom::ContainsPoint.
+// preserve that cost model. The blocked join kernel (act/join.h) runs that
+// test over every edge of the candidate, from its geom::PolygonSlab record
+// (see polygon_slab.h).
 
 #ifndef ACTJOIN_GEOMETRY_EDGE_GRID_H_
 #define ACTJOIN_GEOMETRY_EDGE_GRID_H_

@@ -15,33 +15,38 @@ constexpr double kMetersPerDegreeLat = 110574.0;
 constexpr double kMetersPerDegreeLngEquator = 111320.0;
 constexpr double kDegToRad = 0.017453292519943295;
 
-// Crossing-number contribution of one ring, with exact boundary detection.
-// Returns -1 if p is on the ring boundary, else the parity contribution.
-int RingCrossings(const Ring& ring, const Point& p) {
+}  // namespace
+
+int RingCrossings(const Point* v, size_t n, const Point& p) {
   int crossings = 0;
-  size_t n = ring.size();
+  Point a = v[n - 1];
   for (size_t k = 0; k < n; ++k) {
-    const Point& a = ring[k];
-    const Point& b = ring[(k + 1) % n];
-    if (OnSegment(a, b, p)) return -1;
-    // Count edges whose y-span straddles p.y (half-open to avoid double
-    // counting vertices) and whose crossing with the horizontal ray to +x
-    // lies strictly right of p.
-    if ((a.y > p.y) != (b.y > p.y)) {
-      double x_int = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y);
-      if (x_int > p.x) ++crossings;
+    const Point b = v[k];
+    // Orientation(a, b, p)'s product: zero when p is on the edge's line,
+    // and its sign says which side of the edge p is on.
+    const double cross = (b - a).Cross(p - a);
+    if (cross == 0 && p.x >= std::min(a.x, b.x) &&
+        p.x <= std::max(a.x, b.x) && p.y >= std::min(a.y, b.y) &&
+        p.y <= std::max(a.y, b.y)) {
+      return -1;
     }
+    // An edge whose y-span straddles p.y (half-open, so a vertex on the ray
+    // counts once) crosses the ray to +x strictly right of p iff p lies
+    // left of the edge taken upward: the sign of the cross product, flipped
+    // for a downward edge, is the sign of the crossing's x minus p.x.
+    if ((a.y > p.y) != (b.y > p.y) && (cross > 0) == (b.y > a.y)) {
+      ++crossings;
+    }
+    a = b;
   }
   return crossings;
 }
-
-}  // namespace
 
 bool ContainsPoint(const Polygon& poly, const Point& p) {
   if (!poly.mbr().Contains(p)) return false;
   int total = 0;
   for (const Ring& ring : poly.rings()) {
-    int c = RingCrossings(ring, p);
+    int c = RingCrossings(ring.data(), ring.size(), p);
     if (c < 0) return true;  // boundary => covered (ST_Covers)
     total += c;
   }

@@ -145,7 +145,8 @@ std::string PeerAddress(int fd, bool include_port) {
   }
   std::string out(ip);
   if (include_port) {
-    out += ":" + std::to_string(ntohs(addr.sin_port));
+    out += ':';
+    out += std::to_string(ntohs(addr.sin_port));
   }
   return out;
 }

@@ -205,14 +205,14 @@ TEST(CellIndexes, JoinResultsIdenticalAcrossStructures) {
   SortedVectorIndex lb(index.encoded());
   BTreeCellIndex gbt(index.encoded());
   auto want = act::ExecuteJoinPairs(index.trie(), index.encoded().table,
-                                    pts.AsJoinInput(), ds.polygons,
+                                    pts.AsJoinInput(), index.slab(),
                                     act::JoinMode::kExact);
   EXPECT_EQ(act::ExecuteJoinPairs(lb, index.encoded().table,
-                                  pts.AsJoinInput(), ds.polygons,
+                                  pts.AsJoinInput(), index.slab(),
                                   act::JoinMode::kExact),
             want);
   EXPECT_EQ(act::ExecuteJoinPairs(gbt, index.encoded().table,
-                                  pts.AsJoinInput(), ds.polygons,
+                                  pts.AsJoinInput(), index.slab(),
                                   act::JoinMode::kExact),
             want);
 }

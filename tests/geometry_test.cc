@@ -9,15 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <vector>
 
 #include "geometry/edge_grid.h"
 #include "geometry/pip.h"
 #include "geometry/polygon.h"
+#include "geometry/polygon_slab.h"
 #include "geometry/rect.h"
 #include "geometry/segment.h"
 #include "util/random.h"
+#include "workloads/datasets.h"
 #include "workloads/polygon_gen.h"
 
 namespace actjoin::geom {
@@ -190,6 +194,248 @@ TEST(Pip, VertexRayDoesNotDoubleCount) {
   EXPECT_TRUE(ContainsPoint(diamond, {1, 1}));
   EXPECT_FALSE(ContainsPoint(diamond, {-0.5, 1}));  // left of the vertex
   EXPECT_FALSE(ContainsPoint(diamond, {2.5, 1}));
+}
+
+// --- The division-free ring predicate ---------------------------------------
+
+// The crossing test RingCrossings replaced: the crossing's x by a division on
+// every straddling edge, the boundary by a call to OnSegment per edge. Kept
+// here as the differential reference.
+int DivisionRingCrossings(const Ring& ring, const Point& p) {
+  int crossings = 0;
+  size_t n = ring.size();
+  for (size_t k = 0; k < n; ++k) {
+    const Point& a = ring[k];
+    const Point& b = ring[(k + 1) % n];
+    if (OnSegment(a, b, p)) return -1;
+    if ((a.y > p.y) != (b.y > p.y)) {
+      double x_int = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y);
+      if (x_int > p.x) ++crossings;
+    }
+  }
+  return crossings;
+}
+
+bool DivisionContainsPoint(const Polygon& poly, const Point& p) {
+  if (!poly.mbr().Contains(p)) return false;
+  int total = 0;
+  for (const Ring& ring : poly.rings()) {
+    int c = DivisionRingCrossings(ring, p);
+    if (c < 0) return true;
+    total += c;
+  }
+  return (total & 1) != 0;
+}
+
+Point Ulp(const Point& p, double dx, double dy) {
+  return {dx == 0 ? p.x : std::nextafter(p.x, dx * HUGE_VAL),
+          dy == 0 ? p.y : std::nextafter(p.y, dy * HUGE_VAL)};
+}
+
+// Points where a crossing test can go wrong: every vertex, every edge
+// midpoint, one ulp either side of both in x and in y, and points whose
+// ray to +x runs through a vertex (from left of the polygon, from just left
+// of the vertex, and from just right of it).
+std::vector<Point> DegeneratePoints(const Polygon& poly) {
+  std::vector<Point> out;
+  const double far = poly.mbr().Width() + 1;
+  for (const Ring& ring : poly.rings()) {
+    for (size_t k = 0; k < ring.size(); ++k) {
+      const Point& a = ring[k];
+      const Point& b = ring[(k + 1) % ring.size()];
+      const Point mid{(a.x + b.x) / 2, (a.y + b.y) / 2};
+      for (const Point& q : {a, mid}) {
+        out.push_back(q);
+        for (double d : {-1.0, 1.0}) {
+          out.push_back(Ulp(q, d, 0));
+          out.push_back(Ulp(q, 0, d));
+        }
+      }
+      out.push_back({poly.mbr().lo.x - far, a.y});
+      out.push_back(Ulp(a, -1, 0));
+      out.push_back({(a.x + poly.mbr().lo.x) / 2, a.y});
+      out.push_back({(a.x + poly.mbr().hi.x) / 2, a.y});
+    }
+  }
+  return out;
+}
+
+// Shapes on an integer grid, so every vertex and edge midpoint is exact: a
+// square, a square with a clockwise hole, a two-part polygon whose rays
+// run along the other part's horizontal edges, a notched bar with two
+// collinear horizontal edges, and a diamond whose rays hit vertices.
+std::vector<Polygon> DegenerateShapes() {
+  std::vector<Polygon> out;
+  out.push_back(Polygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}}));
+  Polygon holed({{0, 0}, {8, 0}, {8, 8}, {0, 8}});
+  holed.AddRing({{2, 2}, {2, 6}, {6, 6}, {6, 2}});
+  out.push_back(holed);
+  Polygon parts({{0, 0}, {2, 0}, {2, 2}, {0, 2}});
+  parts.AddRing({{4, 0}, {6, 0}, {6, 2}, {4, 2}});
+  parts.AddRing({{8, 1}, {10, 0}, {10, 2}});
+  out.push_back(parts);
+  out.push_back(Polygon(
+      {{0, 0}, {6, 0}, {6, 2}, {4, 2}, {4, 1}, {2, 1}, {2, 2}, {0, 2}}));
+  out.push_back(Polygon({{2, 0}, {4, 2}, {2, 4}, {0, 2}}));
+  return out;
+}
+
+TEST(Pip, RingCrossingsMatchesOrientationOnEdges) {
+  // The on-edge test is OnSegment's: same product, same bounding box.
+  Polygon sq({{0, 0}, {4, 0}, {4, 4}, {0, 4}});
+  const Ring& ring = sq.rings()[0];
+  EXPECT_EQ(RingCrossings(ring.data(), ring.size(), {2, 0}), -1);
+  EXPECT_EQ(RingCrossings(ring.data(), ring.size(), {4, 4}), -1);
+  EXPECT_EQ(RingCrossings(ring.data(), ring.size(), {2, 2}), 1);
+  EXPECT_EQ(RingCrossings(ring.data(), ring.size(), {-1, 2}), 2);
+  EXPECT_EQ(RingCrossings(ring.data(), ring.size(), {5, 2}), 0);
+  // On the line of an edge, beyond its end: not on the boundary.
+  EXPECT_EQ(RingCrossings(ring.data(), ring.size(), {6, 0}), 0);
+}
+
+TEST(Pip, BoundarySuiteAgreesWithWindingAndSlab) {
+  std::vector<Polygon> polys = DegenerateShapes();
+  const size_t shapes = polys.size();
+  for (const wl::PolygonDataset& ds :
+       {wl::Census(0.05), wl::Neighborhoods(1.0), wl::Boroughs(1.0)}) {
+    const size_t take = std::min<size_t>(ds.polygons.size(), 40);
+    polys.insert(polys.end(), ds.polygons.begin(), ds.polygons.begin() + take);
+  }
+  const PolygonSlab slab(polys);
+  ASSERT_EQ(slab.size(), polys.size());
+
+  uint64_t points = 0, on_boundary = 0, division_wrong = 0;
+  for (uint32_t id = 0; id < polys.size(); ++id) {
+    const Polygon& poly = polys[id];
+    for (const Point& q : DegeneratePoints(poly)) {
+      const bool got = ContainsPoint(poly, q);
+      const bool edge = OnBoundary(poly, q);
+      const bool winding = WindingContainsPoint(poly, q);
+      ASSERT_EQ(got, edge || winding)
+          << "polygon " << id << " q=(" << q.x << "," << q.y << ")";
+      ASSERT_EQ(got, slab.Contains(id, q)) << "polygon " << id;
+      ++points;
+      on_boundary += edge;
+      division_wrong += DivisionContainsPoint(poly, q) != (edge || winding);
+    }
+    // Every vertex is covered; so is every edge midpoint of the integer
+    // shapes, where it is exact.
+    for (const Ring& ring : poly.rings()) {
+      for (size_t k = 0; k < ring.size(); ++k) {
+        ASSERT_TRUE(ContainsPoint(poly, ring[k]) && OnBoundary(poly, ring[k]))
+            << "polygon " << id << " vertex " << k;
+        const Point& b = ring[(k + 1) % ring.size()];
+        const Point mid{(ring[k].x + b.x) / 2, (ring[k].y + b.y) / 2};
+        if (id < shapes) {
+          ASSERT_TRUE(ContainsPoint(poly, mid) && OnBoundary(poly, mid))
+              << "polygon " << id << " edge " << k;
+        }
+      }
+    }
+  }
+  EXPECT_GT(on_boundary, points / 10);
+  // The division form is the old predicate; winding arbitrates.
+  std::printf("boundary suite: %llu points, %llu on an edge, division form "
+              "wrong on %llu\n",
+              static_cast<unsigned long long>(points),
+              static_cast<unsigned long long>(on_boundary),
+              static_cast<unsigned long long>(division_wrong));
+}
+
+TEST(Pip, IntegerShapesKnownAnswers) {
+  std::vector<Polygon> polys = DegenerateShapes();
+  const Polygon& holed = polys[1];
+  EXPECT_TRUE(ContainsPoint(holed, {4, 2}));    // midpoint of a hole edge
+  EXPECT_FALSE(ContainsPoint(holed, {4, 4}));   // inside the hole
+  EXPECT_TRUE(ContainsPoint(holed, {1, 4}));    // ray crosses the hole twice
+  const Polygon& parts = polys[2];
+  EXPECT_TRUE(ContainsPoint(parts, {1, 1}));
+  EXPECT_FALSE(ContainsPoint(parts, {3, 1}));   // between the parts
+  EXPECT_FALSE(ContainsPoint(parts, {3, 2}));   // ray along two top edges
+  EXPECT_TRUE(ContainsPoint(parts, {5, 2}));    // on a top edge
+  EXPECT_FALSE(ContainsPoint(parts, {7, 1}));   // ray through (8, 1)
+  EXPECT_TRUE(ContainsPoint(parts, {9, 1}));
+  const Polygon& notched = polys[3];
+  EXPECT_FALSE(ContainsPoint(notched, {3, 2}));  // ray along (4,2)-(6,2)
+  EXPECT_FALSE(ContainsPoint(notched, {3, 1.5}));
+  EXPECT_TRUE(ContainsPoint(notched, {3, 1}));   // bottom of the notch
+  EXPECT_TRUE(ContainsPoint(notched, {1, 1}));   // ray through (2, 1)
+  EXPECT_FALSE(ContainsPoint(notched, {-1, 2}));  // ray along both tops
+  EXPECT_TRUE(ContainsPoint(notched, Ulp({3, 1}, 0, -1)));  // under it
+  EXPECT_FALSE(ContainsPoint(notched, Ulp({3, 1}, 0, 1)));  // in the notch
+  const Polygon& diamond = polys[4];
+  EXPECT_TRUE(ContainsPoint(diamond, {1, 1}));   // edge midpoint
+  EXPECT_FALSE(ContainsPoint(diamond, Ulp({1, 1}, -1, 0)));
+  EXPECT_TRUE(ContainsPoint(diamond, Ulp({1, 1}, 1, 0)));
+  EXPECT_FALSE(ContainsPoint(diamond, {-1, 2}));  // ray through two vertices
+}
+
+TEST(Pip, MatchesDivisionFormOnRandomPoints) {
+  // Random points in each polygon's MBR over the three presets: the
+  // division-free form must decide every one as the division did.
+  Rng rng(2024);
+  uint64_t points = 0, differ = 0;
+  struct Preset {
+    wl::PolygonDataset ds;
+    int per_polygon;
+  };
+  for (const Preset& preset :
+       {Preset{wl::Census(0.05), 50}, Preset{wl::Neighborhoods(1.0), 300},
+        Preset{wl::Boroughs(1.0), 20000}}) {
+    const PolygonSlab slab(preset.ds.polygons);
+    for (uint32_t id = 0; id < preset.ds.polygons.size(); ++id) {
+      const Polygon& poly = preset.ds.polygons[id];
+      for (int s = 0; s < preset.per_polygon; ++s) {
+        Point q{rng.Uniform(poly.mbr().lo.x, poly.mbr().hi.x),
+                rng.Uniform(poly.mbr().lo.y, poly.mbr().hi.y)};
+        const bool got = ContainsPoint(poly, q);
+        differ += got != DivisionContainsPoint(poly, q);
+        ASSERT_EQ(got, slab.Contains(id, q)) << preset.ds.name << " " << id;
+        ++points;
+      }
+    }
+  }
+  EXPECT_GT(points, 250000u);
+  EXPECT_EQ(differ, 0u) << "of " << points;
+}
+
+// --- PolygonSlab ------------------------------------------------------------
+
+TEST(PolygonSlab, MultiRingRecordWithHole) {
+  std::vector<Polygon> polys = {UnitSquare(), SquareWithHole(), LShape()};
+  PolygonSlab slab(polys);
+  ASSERT_EQ(slab.size(), 3u);
+  // The holed record sits between two others: offsets select the record.
+  EXPECT_TRUE(slab.Contains(1, {0.1, 0.1}));
+  EXPECT_FALSE(slab.Contains(1, {0.5, 0.5}));   // inside the hole
+  EXPECT_TRUE(slab.Contains(1, {0.25, 0.5}));   // on the hole's edge
+  EXPECT_TRUE(slab.Contains(1, {0.75, 0.75}));  // a hole vertex
+  EXPECT_TRUE(slab.Contains(0, {0.5, 0.5}));
+  EXPECT_TRUE(slab.Contains(2, {1.5, 0.5}));
+  EXPECT_FALSE(slab.Contains(2, {1.5, 1.5}));   // the L's notch
+  Rng rng(77);
+  for (int s = 0; s < 2000; ++s) {
+    Point q{rng.Uniform(-0.5, 2.5), rng.Uniform(-0.5, 2.5)};
+    for (uint32_t id = 0; id < polys.size(); ++id) {
+      ASSERT_EQ(slab.Contains(id, q), ContainsPoint(polys[id], q)) << id;
+    }
+  }
+}
+
+TEST(PolygonSlab, RinglessPolygonRejectsEverything) {
+  PolygonSlab slab;
+  EXPECT_EQ(slab.Append(UnitSquare()), 0u);
+  EXPECT_EQ(slab.Append(Polygon()), 1u);
+  EXPECT_EQ(slab.Append(UnitSquare()), 2u);
+  EXPECT_TRUE(slab.Contains(0, {0.5, 0.5}));
+  for (Point q : {Point{0.5, 0.5}, Point{0, 0}, Point{-1e300, 1e300},
+                  Point{HUGE_VAL, HUGE_VAL}, Point{-HUGE_VAL, -HUGE_VAL}}) {
+    slab.Prefetch(1);
+    EXPECT_FALSE(slab.Contains(1, q));
+  }
+  // The ring-less record does not shift its neighbours.
+  EXPECT_TRUE(slab.Contains(2, {1, 1}));
+  EXPECT_FALSE(slab.Contains(2, {1.5, 1}));
 }
 
 TEST(Classify, SquareCases) {

@@ -380,6 +380,7 @@ TEST(JoinKernel, EqualsScalarReferenceForEveryIndexModeAndWidth) {
   wide.lo.y -= 0.05;
   wide.hi.y += 0.05;
   wl::PointSet pts = wl::SyntheticUniformPoints(wide, 4097, grid, 21);
+  const geom::PolygonSlab slab(ds.polygons);
 
   auto check = [&](const auto& idx, const char* name) {
     for (uint64_t n : kKernelSizes) {
@@ -391,12 +392,12 @@ TEST(JoinKernel, EqualsScalarReferenceForEveryIndexModeAndWidth) {
           std::string where = std::string(name) + " n=" + std::to_string(n) +
                               (mode == JoinMode::kExact ? " exact" : " approx") +
                               " threads=" + std::to_string(threads);
-          ExpectSameJoin(ExecuteJoin(idx, enc.table, input, ds.polygons,
+          ExpectSameJoin(ExecuteJoin(idx, enc.table, input, slab,
                                      {mode, threads}),
                          want, where);
         }
       }
-      EXPECT_EQ(ExecuteJoinPairs(idx, enc.table, input, ds.polygons,
+      EXPECT_EQ(ExecuteJoinPairs(idx, enc.table, input, slab,
                                  JoinMode::kExact),
                 BruteForceJoinPairs(input, ds.polygons))
           << name << " n=" << n;
@@ -449,15 +450,16 @@ TEST(JoinKernel, RemovedPolygonIsNeverRefined) {
   for (int threads : {1, 4}) {
     JoinStats got =
         ExecuteJoin(index.trie(), index.encoded().table, pts.AsJoinInput(),
-                    polygons, {JoinMode::kExact, threads});
+                    geom::PolygonSlab(polygons), {JoinMode::kExact, threads});
     ExpectSameJoin(got, want, "threads=" + std::to_string(threads));
     EXPECT_EQ(got.counts[removed], 0u);
   }
 }
 
 TEST(JoinKernel, RinglessCandidateIsTestedWithoutTouchingVertices) {
-  // A candidate reference to a polygon with no rings: the refine pass
-  // prefetches nothing for it and the PIP test rejects it.
+  // A candidate reference to a polygon with no rings: its slab record is
+  // the header alone, and the empty MBR rejects the point before any
+  // vertex is read.
   Grid grid;
   SuperCoveringBuilder b;
   RefList refs;
@@ -470,7 +472,8 @@ TEST(JoinKernel, RinglessCandidateIsTestedWithoutTouchingVertices) {
   std::vector<uint64_t> ids(40, grid.CellAt({40.7, -74.0}).id());
   std::vector<geom::Point> points(40, geom::Point{-74.0, 40.7});
   JoinStats st = ExecuteJoin(trie, enc.table, JoinInput{ids, points},
-                             polygons, {JoinMode::kExact, 1});
+                             geom::PolygonSlab(polygons),
+                             {JoinMode::kExact, 1});
   EXPECT_EQ(st.candidate_refs, 40u);
   EXPECT_EQ(st.pip_tests, 40u);
   EXPECT_EQ(st.pip_hits, 0u);

@@ -1451,11 +1451,13 @@ TEST(NetServer, TracedJoinStagesTileLoopbackWallTime) {
   sopts.worker_threads = 2;
   Grid grid;
   // Stack the neighborhoods set on top of itself: every probe point hits
-  // ~12x the references, so the join — not the 30k-point transfer —
+  // ~36x the references, so the join — not the 30k-point transfer —
   // dominates the client's wall time and the 10% bound is meaningful.
+  // (At 12 copies, once refine read the polygon slab, the join was fast
+  // enough that transport alone passed 10% of the wall in ~2 runs of 5.)
   wl::PolygonDataset ds = wl::Neighborhoods(1.0);
   std::vector<geom::Polygon> stacked;
-  for (int copy = 0; copy < 12; ++copy) {
+  for (int copy = 0; copy < 36; ++copy) {
     stacked.insert(stacked.end(), ds.polygons.begin(), ds.polygons.end());
   }
   act::BuildOptions bopts;

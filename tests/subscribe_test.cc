@@ -1137,7 +1137,25 @@ TEST(SubscribeServer, PushInstrumentsExportedToRegistry) {
   ASSERT_TRUE(client.Join(MakeBatch(pos, JoinMode::kExact)).ok);
   ASSERT_TRUE(log.WaitForEvents(1));
 
-  const std::string text = ts.service->metrics()->RenderPrometheus();
+  // The server records the lag sample and decrements the depth gauge after
+  // ::send returns, so the client can read the EVENT first: poll until
+  // both updates are visible (or the deadline passes and the checks below
+  // report which one is missing).
+  const std::string lag_count = "actjoin_server_event_delivery_lag_us_count ";
+  auto settled = [&](const std::string& t) {
+    const size_t at = t.find(lag_count);
+    return at != std::string::npos &&
+           std::strtod(t.c_str() + at + lag_count.size(), nullptr) >= 1.0 &&
+           t.find("actjoin_server_event_outbox_frames 0\n") !=
+               std::string::npos;
+  };
+  std::string text = ts.service->metrics()->RenderPrometheus();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!settled(text) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    text = ts.service->metrics()->RenderPrometheus();
+  }
   EXPECT_NE(text.find("# TYPE actjoin_server_event_outbox_frames gauge"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE actjoin_server_event_gap_frames_total counter"),

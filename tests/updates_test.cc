@@ -185,6 +185,51 @@ TEST(Updates, RemoveAllThenAddBack) {
             BruteForceJoinPairs(pts.AsJoinInput(), polys).size());
 }
 
+TEST(PolygonSlab, AddPolygonsAppendsUnderIndexIds) {
+  // The index's slab grows with its polygons: record k is polygon id k, so
+  // a join after AddPolygons equals one over a fresh Build of the same set,
+  // and RemovePolygons leaves the slab (and every id's slot) alone.
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.08);
+  const size_t half = ds.polygons.size() / 2;
+  std::vector<geom::Polygon> first_half(ds.polygons.begin(),
+                                        ds.polygons.begin() + half);
+  std::vector<geom::Polygon> second_half(ds.polygons.begin() + half,
+                                         ds.polygons.end());
+  BuildOptions opts;
+  opts.threads = 1;
+  PolygonIndex index = PolygonIndex::Build(first_half, grid, opts);
+  ASSERT_EQ(index.slab().size(), half);
+  ASSERT_EQ(index.AddPolygons(second_half), half);
+  ASSERT_EQ(index.slab().size(), ds.polygons.size());
+
+  util::Rng rng(41);
+  for (uint32_t id = 0; id < ds.polygons.size(); ++id) {
+    const geom::Rect& box = ds.polygons[id].mbr();
+    for (int s = 0; s < 50; ++s) {
+      geom::Point q{rng.Uniform(box.lo.x, box.hi.x),
+                    rng.Uniform(box.lo.y, box.hi.y)};
+      ASSERT_EQ(index.slab().Contains(id, q),
+                geom::ContainsPoint(ds.polygons[id], q))
+          << "id " << id;
+    }
+  }
+
+  PolygonIndex fresh = PolygonIndex::Build(ds.polygons, grid, opts);
+  wl::PointSet pts = wl::SyntheticUniformPoints(ds.mbr, 3000, grid, 42);
+  EXPECT_EQ(index.JoinPairs(pts.AsJoinInput(), JoinMode::kExact),
+            fresh.JoinPairs(pts.AsJoinInput(), JoinMode::kExact));
+  EXPECT_EQ(index.Join(pts.AsJoinInput(), {JoinMode::kExact, 1}).counts,
+            fresh.Join(pts.AsJoinInput(), {JoinMode::kExact, 1}).counts);
+
+  index.RemovePolygons(std::vector<uint32_t>{0, static_cast<uint32_t>(half)});
+  EXPECT_EQ(index.slab().size(), ds.polygons.size());
+  std::vector<bool> active(ds.polygons.size(), true);
+  active[0] = active[half] = false;
+  EXPECT_EQ(index.JoinPairs(pts.AsJoinInput(), JoinMode::kExact),
+            OracleActive(pts.AsJoinInput(), ds.polygons, active));
+}
+
 TEST(Updates, TrainAfterAddStillExact) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
