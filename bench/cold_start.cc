@@ -2,8 +2,8 @@
 // snapshot store versus rebuilding it from raw polygons.
 //
 // The store's reason to exist is the restart path: a rebuild re-runs the
-// whole covering pipeline (per-polygon coverings, super-covering merge,
-// routing coverings per shard), while a load is a sequential file read
+// whole covering pipeline (per-polygon coverings, super-covering merge),
+// while a load is a sequential file read
 // plus the classifier/encoding/trie re-derivation both paths share. This
 // bench measures exactly that delta, per NYC dataset and in total, and
 // verifies the loaded index answers joins byte-identically to the rebuilt
@@ -14,7 +14,7 @@
 // polygons restored per second, in millions) and *fails* unless the load
 // beats the rebuild — the store's acceptance criterion.
 //
-// Extra flags: --shards (served index shard count), --store_dir.
+// Extra flags: --store_dir.
 
 #include <cstdio>
 #include <memory>
@@ -31,11 +31,9 @@ namespace {
 
 int Run(int argc, char** argv) {
   util::Flags flags;
-  flags.AddInt("shards", 4, "shard count of the served/persisted index");
   flags.AddString("store_dir", "cold_start_store",
                   "snapshot store directory (created if missing)");
   BenchEnv env = ParseEnv(argc, argv, &flags);
-  const int shards = std::max(1, static_cast<int>(flags.GetInt("shards")));
 
   store::SnapshotStore store;
   std::string error;
@@ -46,14 +44,12 @@ int Run(int argc, char** argv) {
 
   std::vector<wl::PolygonDataset> datasets = NycDatasets(env);
   std::printf(
-      "Cold start: store load vs full rebuild, %d shards, %d rep(s) "
-      "(scale=%.3g)\n\n",
-      shards, env.reps, env.scale);
+      "Cold start: store load vs full rebuild, %d rep(s) (scale=%.3g)\n\n",
+      env.reps, env.scale);
   util::TablePrinter table({"dataset", "polygons", "rebuild [ms]",
                             "load [ms]", "speedup"});
 
   service::ShardingOptions sharding;
-  sharding.num_shards = shards;
   sharding.build.threads = env.threads;
 
   double total_rebuild_s = 0, total_load_s = 0;

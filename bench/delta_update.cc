@@ -4,7 +4,8 @@
 //
 // Live mutation's reason to exist is the apply path: a full rebuild re-runs
 // the covering pipeline over every polygon, while ApplyDelta recomputes
-// coverings only for the added batch and clones only the touched shards.
+// coverings only for the added batch and re-derives the trie from the
+// cloned covering.
 // This bench measures exactly that delta, per NYC dataset and in total, and
 // verifies both correctness halves before trusting any timing:
 //
@@ -19,7 +20,7 @@
 // mutated per second, in millions) and *fails* unless the apply beats the
 // rebuild — the mutation path's acceptance criterion.
 //
-// Extra flags: --shards, --churn (fraction of each dataset arriving as the
+// Extra flags: --churn (fraction of each dataset arriving as the
 // live add batch), --store_dir.
 
 #include <algorithm>
@@ -44,13 +45,11 @@ bool SameJoin(const act::JoinStats& a, const act::JoinStats& b) {
 
 int Run(int argc, char** argv) {
   util::Flags flags;
-  flags.AddInt("shards", 4, "shard count of the served index");
   flags.AddDouble("churn", 0.1,
                   "fraction of each dataset arriving as the live add batch");
   flags.AddString("store_dir", "delta_update_store",
                   "snapshot store directory (created if missing)");
   BenchEnv env = ParseEnv(argc, argv, &flags);
-  const int shards = std::max(1, static_cast<int>(flags.GetInt("shards")));
   const double churn =
       std::clamp(flags.GetDouble("churn"), 0.01, 0.9);
 
@@ -64,14 +63,13 @@ int Run(int argc, char** argv) {
 
   std::vector<wl::PolygonDataset> datasets = NycDatasets(env);
   std::printf(
-      "Delta update: copy-on-write apply vs full rebuild, %d shards, "
-      "churn=%.2f, %d rep(s) (scale=%.3g)\n\n",
-      shards, churn, env.reps, env.scale);
+      "Delta update: copy-on-write apply vs full rebuild, churn=%.2f, "
+      "%d rep(s) (scale=%.3g)\n\n",
+      churn, env.reps, env.scale);
   util::TablePrinter table({"dataset", "base", "added", "rebuild [ms]",
                             "apply [ms]", "speedup"});
 
   service::ShardingOptions sharding;
-  sharding.num_shards = shards;
   sharding.build.threads = env.threads;
 
   double total_rebuild_s = 0, total_apply_s = 0;
@@ -106,8 +104,8 @@ int Run(int argc, char** argv) {
       rebuilt = std::move(index);
     }
 
-    // Apply path: coverings computed for the batch only, untouched shards
-    // aliased.
+    // Apply path: coverings computed for the batch only, the rest of the
+    // covering cloned.
     double apply_s = 0;
     std::shared_ptr<const service::ShardedIndex> applied;
     for (int r = 0; r < env.reps; ++r) {

@@ -1,6 +1,6 @@
 // Network front-end throughput (src/net/): the full loopback path —
 // JoinClient -> wire protocol -> epoll JoinServer -> admission control ->
-// JoinService -> sharded index — versus the same service driven in-process.
+// JoinService -> served index — versus the same service driven in-process.
 // The delta is the whole cost of the network boundary (framing, syscalls,
 // loopback TCP), which is the number the ACT paper's throughput claims
 // need before they mean anything to a remote client.
@@ -9,7 +9,7 @@
 //   loopback xN: N client threads, each with its own connection, driving
 //                the same batches through the socket
 //
-// Extra flags: --shards (default 8), --batch (points per request),
+// Extra flags: --batch (points per request),
 // --clients (loopback client threads), --workers (service worker
 // threads; default = --threads), --io_threads (server event loops).
 
@@ -64,7 +64,6 @@ std::string AdminGet(uint16_t port, const std::string& target) {
 
 int Run(int argc, char** argv) {
   util::Flags flags;
-  flags.AddInt("shards", 8, "shard count for the served index");
   flags.AddInt("batch", 65536, "points per JOIN_BATCH request");
   flags.AddInt("clients", 4, "loopback client threads");
   flags.AddInt("workers", 0,
@@ -75,7 +74,6 @@ int Run(int argc, char** argv) {
     env.threads = 4;
     env.reps = 3;
   }
-  const int shards = std::max(1, static_cast<int>(flags.GetInt("shards")));
   const uint64_t batch_points = std::max<int64_t>(1, flags.GetInt("batch"));
   const int clients = std::max(1, static_cast<int>(flags.GetInt("clients")));
   const int io_threads =
@@ -88,7 +86,6 @@ int Run(int argc, char** argv) {
   act::JoinInput input = pts.AsJoinInput();
 
   service::ShardingOptions sharding;
-  sharding.num_shards = shards;
   sharding.build.precision_bound_m = 60.0;
   sharding.build.threads = env.threads;
   auto index = std::make_shared<const service::ShardedIndex>(
@@ -109,9 +106,9 @@ int Run(int argc, char** argv) {
 
   std::printf(
       "Network front-end throughput: %zu polygons, %llu points in %zu "
-      "batches, %d shards, %d workers, %d clients (scale=%.3g)\n\n",
+      "batches, %d workers, %d clients (scale=%.3g)\n\n",
       ds.polygons.size(), static_cast<unsigned long long>(input.size()),
-      batches.size(), shards, workers, clients, env.scale);
+      batches.size(), workers, clients, env.scale);
   util::TablePrinter table(
       {"config", "throughput [M points/s]", "p50 [ms]", "p99 [ms]"});
 

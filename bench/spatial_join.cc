@@ -10,7 +10,6 @@
 // speed ratios — candidate counts do not (an engine with worse filter
 // recall "processes" more candidate pairs while being slower).
 //
-// Extra flags: --shards (dual-trie shard count per side, default 4).
 // --smoke alternates the arms rep by rep (both see the same ambient
 // contention under parallel ctest) and *gates* the best per-rep ratio of
 // combined both-modes wall time, rtree/dual >= 1: the dual-trie
@@ -33,13 +32,11 @@ namespace {
 
 int Run(int argc, char** argv) {
   util::Flags flags;
-  flags.AddInt("shards", 4, "dual-trie shard count per side");
   BenchEnv env = ParseEnv(argc, argv, &flags);
   if (env.smoke) {
     env.threads = 4;
     env.reps = 3;
   }
-  const int shards = std::max(1, static_cast<int>(flags.GetInt("shards")));
 
   // Boroughs stay at the paper's five complex polygons (they are the
   // expensive-refinement side); census scales.
@@ -50,7 +47,6 @@ int Run(int argc, char** argv) {
       static_cast<double>(ds_b.polygons.size());
 
   service::ShardingOptions sharding;
-  sharding.num_shards = shards;
   sharding.build.precision_bound_m = 60.0;
   sharding.build.threads = env.threads;
 
@@ -70,11 +66,11 @@ int Run(int argc, char** argv) {
 
   std::printf(
       "Crossmatch %s (%zu polys, avg %.0f vertices) x %s (%zu polys, "
-      "avg %.0f vertices): %d shards/side, %d threads, scale=%.3g\n"
+      "avg %.0f vertices): %d threads, scale=%.3g\n"
       "  probe surfaces: %zu + %zu intervals (coarsened); build: "
       "dual-trie %.3f s, r-tree %.3f s\n\n",
       ds_a.name.c_str(), ds_a.polygons.size(), ds_a.AvgVertices(),
-      ds_b.name.c_str(), ds_b.polygons.size(), ds_b.AvgVertices(), shards,
+      ds_b.name.c_str(), ds_b.polygons.size(), ds_b.AvgVertices(),
       env.threads, env.scale, view_a.size(), view_b.size(), trie_build_s,
       rtree_build_s);
 

@@ -40,9 +40,9 @@
 // --smoke gates the push arm: events/s > 0, zero outbox drops, and push
 // beats the poll-equivalent baseline.
 //
-// Extra flags: --shards (default 4), --fleet (tracked points), --ticks
-// (position updates), --subscribers, --geofences (watched polygon ids
-// per subscription), --workers (service workers), --io_threads.
+// Extra flags: --fleet (tracked points), --ticks (position updates),
+// --subscribers, --geofences (watched polygon ids per subscription),
+// --workers (service workers), --io_threads.
 
 #include <atomic>
 #include <chrono>
@@ -66,7 +66,6 @@ namespace {
 
 int Run(int argc, char** argv) {
   util::Flags flags;
-  flags.AddInt("shards", 4, "shard count for the served index");
   flags.AddInt("fleet", 20000, "tracked devices (points per tick)");
   flags.AddInt("ticks", 40, "position updates driven through the server");
   flags.AddInt("subscribers", 8, "consumer connections");
@@ -85,7 +84,6 @@ int Run(int argc, char** argv) {
     // full re-join costs something; 0.2 keeps the smoke run in seconds.
     env.scale = std::max(env.scale, 0.2);
   }
-  const int shards = std::max(1, static_cast<int>(flags.GetInt("shards")));
   const int subscribers =
       std::max(1, static_cast<int>(flags.GetInt("subscribers")));
   const int workers = std::max(1, static_cast<int>(flags.GetInt("workers")));
@@ -94,7 +92,6 @@ int Run(int argc, char** argv) {
 
   wl::PolygonDataset ds = wl::Neighborhoods(env.scale);
   service::ShardingOptions sharding;
-  sharding.num_shards = shards;
   sharding.build.precision_bound_m = 60.0;
   sharding.build.threads = env.threads;
   auto index = std::make_shared<const service::ShardedIndex>(

@@ -84,11 +84,10 @@ int main(int argc, char** argv) {
 
   geo::Grid grid;
   wl::PolygonDataset city = wl::Neighborhoods(0.3);
-  service::ShardingOptions shard_opts;
-  shard_opts.num_shards = 4;
-  shard_opts.build.precision_bound_m = 60.0;
+  service::ShardingOptions index_opts;
+  index_opts.build.precision_bound_m = 60.0;
   auto index = std::make_shared<const service::ShardedIndex>(
-      service::ShardedIndex::Build(city.polygons, grid, shard_opts));
+      service::ShardedIndex::Build(city.polygons, grid, index_opts));
 
   service::ServiceOptions service_opts;
   service_opts.worker_threads = 2;

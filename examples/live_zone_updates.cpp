@@ -34,12 +34,11 @@ int main() {
   std::vector<geom::Polygon> initial(city.polygons.begin(),
                                      city.polygons.begin() + initial_count);
 
-  service::ShardingOptions shard_opts;
-  shard_opts.num_shards = 4;
-  shard_opts.build.precision_bound_m = 20.0;
+  service::ShardingOptions index_opts;
+  index_opts.build.precision_bound_m = 20.0;
   auto build = [&](const std::vector<geom::Polygon>& zones) {
     return std::make_shared<const service::ShardedIndex>(
-        service::ShardedIndex::Build(zones, grid, shard_opts));
+        service::ShardedIndex::Build(zones, grid, index_opts));
   };
 
   // Launch with the first half of the zones behind the serving layer.

@@ -40,11 +40,10 @@ int main(int argc, char** argv) {
 
   geo::Grid grid;
   wl::PolygonDataset city = wl::Neighborhoods(0.3);
-  service::ShardingOptions shard_opts;
-  shard_opts.num_shards = 4;
-  shard_opts.build.precision_bound_m = 60.0;
+  service::ShardingOptions index_opts;
+  index_opts.build.precision_bound_m = 60.0;
   auto index = std::make_shared<const service::ShardedIndex>(
-      service::ShardedIndex::Build(city.polygons, grid, shard_opts));
+      service::ShardedIndex::Build(city.polygons, grid, index_opts));
 
   service::ServiceOptions service_opts;
   service_opts.worker_threads = 2;
@@ -59,10 +58,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "server start failed: %s\n", error.c_str());
     return 1;
   }
-  std::printf("JoinServer on %s:%u — %zu zones, %d shards, rate limit "
+  std::printf("JoinServer on %s:%u — %zu zones, rate limit "
               "%.0f req/s (burst 10)\n\n",
               server.host().c_str(), server.port(), city.polygons.size(),
-              shard_opts.num_shards, server_opts.admission.rate_limit_qps);
+              server_opts.admission.rate_limit_qps);
 
   wl::PointSet pings =
       wl::TaxiPoints(city.mbr, flags.GetInt("pings"), grid, 7);

@@ -56,12 +56,11 @@ int main(int argc, char** argv) {
   // ---- Act 1: first boot — build from raw polygons, serve, checkpoint.
   std::printf("=== first boot: building from raw polygons ===\n");
   util::WallTimer build_timer;
-  service::ShardingOptions shard_opts;
-  shard_opts.num_shards = 4;
+  service::ShardingOptions index_opts;
   auto zones_index = std::make_shared<const service::ShardedIndex>(
-      service::ShardedIndex::Build(zones.polygons, grid, shard_opts));
+      service::ShardedIndex::Build(zones.polygons, grid, index_opts));
   auto census_index = std::make_shared<const service::ShardedIndex>(
-      service::ShardedIndex::Build(census.polygons, grid, shard_opts));
+      service::ShardedIndex::Build(census.polygons, grid, index_opts));
   const double build_s = build_timer.ElapsedSeconds();
   std::printf("built %zu + %zu polygons in %.1f ms\n", zones.polygons.size(),
               census.polygons.size(), build_s * 1e3);
@@ -145,11 +144,9 @@ int main(int argc, char** argv) {
   client.ListDatasets(&datasets, &error);
   std::printf("\ncatalog over the wire (LIST_DATASETS):\n");
   for (const service::DatasetInfo& ds : datasets) {
-    std::printf("  id %u  %-8s epoch %llu  %llu polygons, %u shards\n",
-                ds.id, ds.name.c_str(),
-                static_cast<unsigned long long>(ds.epoch),
-                static_cast<unsigned long long>(ds.num_polygons),
-                ds.num_shards);
+    std::printf("  id %u  %-8s epoch %llu  %llu polygons\n", ds.id,
+                ds.name.c_str(), static_cast<unsigned long long>(ds.epoch),
+                static_cast<unsigned long long>(ds.num_polygons));
   }
 
   uint64_t restart_pairs = 0;

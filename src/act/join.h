@@ -83,8 +83,8 @@ struct JoinStats {
 
   /// Adds `other`'s scalar probe counters into this one — every field
   /// except num_points, seconds, and counts. The shared merge step of
-  /// ExecuteJoin's threads and of the sharded executors, whose per-polygon
-  /// counts need site-specific id remapping and so stay with the caller.
+  /// ExecuteJoin's threads and of the service executor; per-polygon counts
+  /// are summed by the caller.
   void AccumulateCounters(const JoinStats& other) {
     matched_points += other.matched_points;
     result_pairs += other.result_pairs;

@@ -14,7 +14,7 @@
 // truncation and bit-rot are detected at load time with a typed LoadError
 // instead of surfacing as wrong join results later. The same section
 // framing and the index-body codec are reused by the snapshot store
-// (src/store/) for its sharded-index container and manifest formats.
+// (src/store/) for its snapshot container and manifest formats.
 
 #ifndef ACTJOIN_ACT_SERIALIZATION_H_
 #define ACTJOIN_ACT_SERIALIZATION_H_
@@ -74,7 +74,7 @@ bool ReadSection(std::span<const uint8_t> bytes, size_t* offset,
 
 /// Appends the three v2 sections (options, polygons, covering) for `index`
 /// — everything except the file magic/version. The seam the snapshot store
-/// uses to embed per-shard indexes inside its own container format.
+/// uses to embed a dataset's index inside its own container format.
 void AppendIndexBody(const PolygonIndex& index, util::ByteWriter* w);
 
 /// Parses a body written by AppendIndexBody starting at `*offset`;

@@ -26,71 +26,40 @@ const char* ToString(CrossMatchMode mode) {
 IntervalView IntervalView::FromIndex(const service::ShardedIndex& index,
                                      uint32_t cells_per_polygon) {
   IntervalView v;
-  v.index_ = &index;
-  v.locs_.assign(index.num_polygons(), Loc{});
-  const uint64_t ns = static_cast<uint64_t>(index.num_shards());
-  for (int s = 0; s < index.num_shards(); ++s) {
-    const act::PolygonIndex* shard = index.shard_index(s);
-    if (shard == nullptr) continue;
-    const std::vector<uint32_t>& gids = index.shard_polygon_ids(s);
-    for (uint32_t local = 0; local < gids.size(); ++local) {
-      Loc& loc = v.locs_[gids[local]];
-      if (loc.shard < 0) loc = {s, local};
+  v.index_ = index.index();
+  v.num_polygons_ = index.num_polygons();
+  if (v.index_ == nullptr) return v;
+  // A super covering is sorted and its cells are pairwise disjoint, so
+  // each cell's leaf-id range is one interval of the view as it stands.
+  const act::SuperCovering& sc = v.index_->covering();
+  for (size_t i = 0; i < sc.size(); ++i) {
+    const act::RefList& refs = sc.refs(i);
+    if (refs.empty()) continue;
+    const geo::CellId& cell = sc.cell(i);
+    const uint32_t rb = static_cast<uint32_t>(v.refs_.size());
+    for (const act::PolygonRef& r : refs) {
+      v.refs_.push_back({r.polygon_id, r.interior});
     }
-    // Shard s owns the leaf-id interval [floor(s*2^64/N), floor((s+1)*
-    // 2^64/N)) — the inverse of ShardedIndex::ShardOf. A polygon near a
-    // shard boundary is indexed by every shard its covering touches, so
-    // its cells appear (clipped) in each; clipping to the owning interval
-    // keeps exactly one copy of every leaf id and restores the global
-    // disjointness the descent's merge-scan relies on.
-    const uint64_t shard_lo = static_cast<uint64_t>(
-        (static_cast<unsigned __int128>(s) << 64) / ns);
-    const uint64_t shard_hi =  // inclusive
-        s + 1 == static_cast<int>(ns)
-            ? UINT64_MAX
-            : static_cast<uint64_t>(
-                  (static_cast<unsigned __int128>(s + 1) << 64) / ns) -
-                  1;
-    const act::SuperCovering& sc = shard->covering();
-    for (size_t i = 0; i < sc.size(); ++i) {
-      const geo::CellId& cell = sc.cell(i);
-      const uint64_t lo = std::max(cell.range_min().id(), shard_lo);
-      const uint64_t hi = std::min(cell.range_max().id(), shard_hi);
-      if (lo > hi) continue;  // cell sticks out past the shard entirely
-      const act::RefList& refs = sc.refs(i);
-      if (refs.empty()) continue;
-      const uint32_t rb = static_cast<uint32_t>(v.refs_.size());
-      for (const act::PolygonRef& r : refs) {
-        v.refs_.push_back({gids[r.polygon_id], r.interior});
-      }
-      v.intervals_.push_back(
-          {lo, hi, rb, static_cast<uint32_t>(v.refs_.size())});
-    }
+    v.intervals_.push_back({cell.range_min().id(), cell.range_max().id(), rb,
+                            static_cast<uint32_t>(v.refs_.size())});
   }
-  // Shards emit in id order and per-shard coverings are sorted, but a
-  // boundary-straddling cell appears (clipped) in several shards out of
-  // order relative to its neighbors — one sort canonicalizes. Intervals
-  // stay pairwise disjoint by the clipping argument above.
-  std::sort(v.intervals_.begin(), v.intervals_.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
   v.Coarsen(cells_per_polygon);
   return v;
 }
 
 void IntervalView::Coarsen(uint32_t cells_per_polygon) {
   if (cells_per_polygon == 0) return;
-  size_t live = 0;
-  for (const Loc& loc : locs_) live += loc.shard >= 0 ? 1 : 0;
   // The floor keeps tiny datasets from collapsing into one bucket whose
   // ref cross-products defeat the descent entirely.
-  const uint64_t target = std::max<uint64_t>(live * cells_per_polygon, 64);
+  const uint64_t target =
+      std::max<uint64_t>(num_polygons_ * cells_per_polygon, 64);
   if (intervals_.size() <= target) return;
 
   // An interval fits a bucket iff lo and hi share the top (64 - shift)
-  // bits. Source intervals are (shard-clipped) aligned quadtree cells, so
-  // a cell at depth >= the bucket depth always fits; a shallower cell
-  // spans whole buckets and passes through unmerged — it is already
-  // coarse, and splitting it would *grow* the list. Pass-throughs keep
+  // bits. Source intervals are aligned quadtree cells, so a cell at
+  // depth >= the bucket depth always fits; a shallower cell spans whole
+  // buckets and passes through unmerged — it is already coarse, and
+  // splitting it would *grow* the list. Pass-throughs keep
   // disjointness: intervals are sorted and disjoint, members of one
   // bucket are consecutive, and a merged span never reaches past its last
   // member's hi, so output ranges stay sorted and disjoint.
@@ -203,18 +172,6 @@ void IntervalView::Coarsen(uint32_t cells_per_polygon) {
   flush(run_begin, intervals_.size());
   intervals_ = std::move(out_intervals);
   refs_ = std::move(out_refs);
-}
-
-const geom::Polygon* IntervalView::polygon(uint32_t gid) const {
-  const Loc& loc = locs_[gid];
-  if (loc.shard < 0) return nullptr;
-  return &index_->shard_index(loc.shard)->polygons()[loc.local];
-}
-
-const geom::EdgeGrid* IntervalView::edge_grid(uint32_t gid) const {
-  const Loc& loc = locs_[gid];
-  if (loc.shard < 0) return nullptr;
-  return &index_->shard_index(loc.shard)->classifier().edge_grid(loc.local);
 }
 
 namespace {

@@ -9,14 +9,13 @@
 // pairwise-disjoint list of leaf-cell-id intervals, each carrying the
 // polygon references of one covering cell:
 //
-//   1. IntervalView::FromIndex flattens a ShardedIndex: every shard's
-//      covering cells are clipped to that shard's Hilbert interval (the
-//      per-shard coverings cover each polygon fully, so clipping restores
-//      global disjointness) and local polygon ids map to global ids. The
-//      flattened list is then *coarsened* — adjacent intervals merge into
-//      aligned Hilbert buckets under a per-polygon budget — because the
-//      point-join covering is far deeper than a pairwise filter needs and
-//      the descent pays per interval (see kDefaultCellsPerPolygon).
+//   1. IntervalView::FromIndex flattens the dataset's trie: its super
+//      covering is already sorted and pairwise disjoint, so every covering
+//      cell becomes one leaf-id interval as it stands. The flattened list
+//      is then *coarsened* — adjacent intervals merge into aligned Hilbert
+//      buckets under a per-polygon budget — because the point-join
+//      covering is far deeper than a pairwise filter needs and the descent
+//      pays per interval (see kDefaultCellsPerPolygon).
 //   2. The descent works a pending worklist of interval-span pairs: a
 //      span-pair whose bounding id ranges are disjoint is pruned wholesale
 //      (the dual-tree win: one comparison discards |A|×|B| potential
@@ -33,10 +32,10 @@
 //      shared point.
 //
 // Candidate completeness: a point q in polygons a (dataset A) and b (B)
-// has leaf(q) routed to a shard indexing a whose covering covers a — so
-// some clipped interval referencing a contains leaf(q), and likewise for
-// b. Those two intervals overlap at leaf(q), so (a, b) is emitted. The
-// same holds for containment (A ⊇ B implies a shared point).
+// has leaf(q) inside a's covering — so some interval referencing a
+// contains leaf(q), and likewise for b. Those two intervals overlap at
+// leaf(q), so (a, b) is emitted. The same holds for containment (A ⊇ B
+// implies a shared point).
 //
 // Determinism contract (same as ShardedIndex::Join/JoinPairs): results
 // and stats are byte-identical at every thread width. Phases: a serial
@@ -100,9 +99,9 @@ struct CrossMatchStats {
 };
 
 /// A ShardedIndex's probe surface flattened for the synchronized descent:
-/// sorted, pairwise-disjoint leaf-cell-id intervals with the global-id
-/// polygon references of their covering cell, plus per-global-id access
-/// to the polygon geometry and its edge-grid accelerator.
+/// sorted, pairwise-disjoint leaf-cell-id intervals with the polygon
+/// references of their covering cell, plus per-id access to the polygon
+/// geometry and its edge-grid accelerator.
 ///
 /// Holds pointers into the source index: the caller must keep the index
 /// (typically an epoch-pinned registry snapshot) alive for the view's
@@ -110,7 +109,7 @@ struct CrossMatchStats {
 class IntervalView {
  public:
   struct Ref {
-    uint32_t gid = 0;       // global polygon id
+    uint32_t gid = 0;       // polygon id
     bool interior = false;  // covering cell fully inside the polygon
   };
   struct Interval {
@@ -145,11 +144,15 @@ class IntervalView {
             static_cast<size_t>(iv.refs_end - iv.refs_begin)};
   }
 
-  /// Global polygon-id-space size of the source index.
-  size_t num_polygons() const { return locs_.size(); }
-  /// Null for an id that appears in no interval (removed polygons).
-  const geom::Polygon* polygon(uint32_t gid) const;
-  const geom::EdgeGrid* edge_grid(uint32_t gid) const;
+  /// Polygon-id-space size of the source index.
+  size_t num_polygons() const { return num_polygons_; }
+  /// Null when the source index has no polygons.
+  const geom::Polygon* polygon(uint32_t gid) const {
+    return index_ != nullptr ? &index_->polygons()[gid] : nullptr;
+  }
+  const geom::EdgeGrid* edge_grid(uint32_t gid) const {
+    return index_ != nullptr ? &index_->classifier().edge_grid(gid) : nullptr;
+  }
 
  private:
   /// Merges runs of intervals that share an aligned Hilbert bucket until
@@ -157,16 +160,10 @@ class IntervalView {
   /// See kDefaultCellsPerPolygon for the rationale and exactness argument.
   void Coarsen(uint32_t cells_per_polygon);
 
-  /// Where gid's geometry lives in the source index (any shard indexing it).
-  struct Loc {
-    int32_t shard = -1;
-    uint32_t local = 0;
-  };
-
-  const service::ShardedIndex* index_ = nullptr;
+  const act::PolygonIndex* index_ = nullptr;  // null: no polygons
+  size_t num_polygons_ = 0;
   std::vector<Interval> intervals_;
   std::vector<Ref> refs_;
-  std::vector<Loc> locs_;  // indexed by global polygon id
 };
 
 /// Wall time per crossmatch phase, microseconds — the request-tracing

@@ -265,10 +265,10 @@ std::string AdminServer::RouteStatusz() const {
 
   AppendF(&out, "\n[datasets]\n");
   for (const service::DatasetInfo& ds : service_->catalog().List()) {
-    AppendF(&out, "  %u %s epoch=%llu polygons=%llu shards=%u%s\n",
+    AppendF(&out, "  %u %s epoch=%llu polygons=%llu%s\n",
             static_cast<unsigned>(ds.id), ds.name.c_str(),
             static_cast<unsigned long long>(ds.epoch),
-            static_cast<unsigned long long>(ds.num_polygons), ds.num_shards,
+            static_cast<unsigned long long>(ds.num_polygons),
             ds.dropped ? " DROPPED" : "");
   }
 

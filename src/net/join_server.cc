@@ -1018,7 +1018,7 @@ void JoinServer::HandleMutation(int t, IoThread& io, Connection& conn,
   const uint64_t request_id = header.request_id;
   const uint16_t dataset_id = header.dataset_id;
   const MessageType op = header.type;
-  // The apply itself — clone-on-write over the touched shards — takes
+  // The apply itself — clone-on-write of the dataset's trie — takes
   // milliseconds, far too long for the epoll loop: it runs on a service
   // worker via the mutation queue.
   service::SubmitStatus status = service_->TryMutateAsync(

@@ -302,15 +302,14 @@ bool DecodeJoinResult(std::span<const uint8_t> payload,
 }
 
 // DatasetInfo payload: u32 count, per dataset: u16 id, u16 flags (bit 0:
-// dropped; was reserved in v2), u32 num_shards, u64 epoch, u64
-// num_polygons, length-prefixed name.
+// dropped; was reserved in v2), u64 epoch, u64 num_polygons,
+// length-prefixed name.
 void AppendDatasetList(const std::vector<service::DatasetInfo>& datasets,
                        util::ByteWriter* w) {
   w->PutU32(static_cast<uint32_t>(datasets.size()));
   for (const service::DatasetInfo& ds : datasets) {
     w->PutU16(ds.id);
     w->PutU16(ds.dropped ? 1 : 0);
-    w->PutU32(ds.num_shards);
     w->PutU64(ds.epoch);
     w->PutU64(ds.num_polygons);
     w->PutString(ds.name);
@@ -321,15 +320,14 @@ bool DecodeDatasetList(std::span<const uint8_t> payload,
                        std::vector<service::DatasetInfo>* out) {
   util::ByteReader r(payload);
   uint32_t count = r.U32();
-  // An entry costs >= 28 payload bytes (see the forged-count note above).
-  if (!r.ok() || count > r.remaining() / 28 + 1) return false;
+  // An entry costs >= 24 payload bytes (see the forged-count note above).
+  if (!r.ok() || count > r.remaining() / 24 + 1) return false;
   out->clear();
   out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     service::DatasetInfo ds;
     ds.id = r.U16();
     uint16_t flags = r.U16();
-    ds.num_shards = r.U32();
     ds.epoch = r.U64();
     ds.num_polygons = r.U64();
     ds.name = r.String();

@@ -79,6 +79,8 @@
 // type 3 with UNKNOWN_TYPE): GET_METRICS is the one structured exit, and
 // clients map its binary samples to service::ServiceStats themselves
 // (service::StatsFromSamples). No other payload changed.
+// v10 drops the u32 shard count from every DATASET_LIST entry: a dataset is
+// one index. No other payload changed.
 
 #ifndef ACTJOIN_NET_WIRE_H_
 #define ACTJOIN_NET_WIRE_H_
@@ -100,7 +102,7 @@
 namespace actjoin::net {
 
 inline constexpr uint32_t kWireMagic = 0x4A544341;  // "ACTJ"
-inline constexpr uint8_t kWireVersion = 9;
+inline constexpr uint8_t kWireVersion = 10;
 inline constexpr size_t kFrameHeaderBytes = 24;
 /// Default cap on one frame (header + payload); a JOIN_BATCH point costs
 /// 24 payload bytes, so this admits ~2.7 M points per batch.

@@ -23,7 +23,7 @@
 //
 // Typical use:
 //   auto idx = std::make_shared<const service::ShardedIndex>(
-//       service::ShardedIndex::Build(polygons, grid, {.num_shards = 8}));
+//       service::ShardedIndex::Build(polygons, grid, {}));
 //   service::JoinService server(idx, {.worker_threads = 4});
 //   auto future = server.Submit({cell_ids, points, act::JoinMode::kExact});
 //   act::JoinStats stats = future.get().stats;

@@ -81,10 +81,7 @@ std::vector<DatasetInfo> ServiceCatalog::List() const {
     info.id = static_cast<uint16_t>(i);
     info.name = entries[i]->name;
     Snapshot snap = entries[i]->registry.Acquire(&info.epoch);
-    if (snap != nullptr) {
-      info.num_polygons = snap->num_polygons();
-      info.num_shards = static_cast<uint32_t>(snap->num_shards());
-    }
+    if (snap != nullptr) info.num_polygons = snap->num_polygons();
     info.dropped = entries[i]->dropped.load(std::memory_order_acquire);
     out.push_back(std::move(info));
   }

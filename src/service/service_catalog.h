@@ -48,7 +48,6 @@ struct DatasetInfo {
   std::string name;
   uint64_t epoch = 0;          // current snapshot epoch (0: none published)
   uint64_t num_polygons = 0;   // of the current snapshot
-  uint32_t num_shards = 0;     // of the current snapshot
   bool dropped = false;        // tombstoned by DROP_DATASET
 
   friend bool operator==(const DatasetInfo&, const DatasetInfo&) = default;

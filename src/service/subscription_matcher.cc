@@ -11,35 +11,16 @@ namespace actjoin::service {
 
 namespace {
 
-/// Walks every covering cell of every shard, clipped to the shard's
-/// Hilbert interval — the same disjointness-restoring walk
-/// join2::IntervalView::FromIndex does (see its comment for why clipping
-/// keeps exactly one copy of every leaf id).
+/// Walks every covering cell of the dataset's trie: its leaf-id range
+/// and polygon references.
 template <typename Fn>
-void ForEachClippedCell(const ShardedIndex& index, Fn&& fn) {
-  const uint64_t ns = static_cast<uint64_t>(index.num_shards());
-  for (int s = 0; s < index.num_shards(); ++s) {
-    const act::PolygonIndex* shard = index.shard_index(s);
-    if (shard == nullptr) continue;
-    const std::vector<uint32_t>& gids = index.shard_polygon_ids(s);
-    const uint64_t shard_lo = static_cast<uint64_t>(
-        (static_cast<unsigned __int128>(s) << 64) / ns);
-    const uint64_t shard_hi =  // inclusive
-        s + 1 == static_cast<int>(ns)
-            ? UINT64_MAX
-            : static_cast<uint64_t>(
-                  (static_cast<unsigned __int128>(s + 1) << 64) / ns) -
-                  1;
-    const act::SuperCovering& sc = shard->covering();
-    for (size_t i = 0; i < sc.size(); ++i) {
-      const geo::CellId& cell = sc.cell(i);
-      const uint64_t lo = std::max(cell.range_min().id(), shard_lo);
-      const uint64_t hi = std::min(cell.range_max().id(), shard_hi);
-      if (lo > hi) continue;
-      const act::RefList& refs = sc.refs(i);
-      if (refs.empty()) continue;
-      fn(lo, hi, refs, gids);
-    }
+void ForEachCoveringCell(const ShardedIndex& index, Fn&& fn) {
+  if (index.index() == nullptr) return;
+  const act::SuperCovering& sc = index.index()->covering();
+  for (size_t i = 0; i < sc.size(); ++i) {
+    const act::RefList& refs = sc.refs(i);
+    if (refs.empty()) continue;
+    fn(sc.cell(i).range_min().id(), sc.cell(i).range_max().id(), refs);
   }
 }
 
@@ -62,12 +43,11 @@ void SubscriptionMatcher::ResolveWatched(const ShardedIndex& index,
     // requested region. The polygon is then watched *everywhere* — a
     // track leaving it through the far side still gets its LEAVE.
     std::vector<uint32_t> watched;
-    ForEachClippedCell(
-        index, [&](uint64_t lo, uint64_t hi, const act::RefList& refs,
-                   const std::vector<uint32_t>& gids) {
+    ForEachCoveringCell(
+        index, [&](uint64_t lo, uint64_t hi, const act::RefList& refs) {
           if (hi < sub->spec.cell_lo || lo > sub->spec.cell_hi) return;
           for (const act::PolygonRef& r : refs) {
-            watched.push_back(gids[r.polygon_id]);
+            watched.push_back(r.polygon_id);
           }
         });
     SortUnique(&watched);
@@ -152,16 +132,15 @@ std::optional<SubscriptionInfo> SubscriptionMatcher::Add(uint16_t dataset_id,
   info.epoch = epoch;
   info.watched_polygons = static_cast<uint32_t>(
       sub->watch_all ? snap->num_polygons() : sub->watched.size());
-  ForEachClippedCell(
-      *snap, [&](uint64_t, uint64_t, const act::RefList& refs,
-                 const std::vector<uint32_t>& gids) {
+  ForEachCoveringCell(
+      *snap, [&](uint64_t, uint64_t, const act::RefList& refs) {
         info.coverage_intervals +=
             sub->watch_all ||
             std::any_of(refs.begin(), refs.end(),
                         [&](const act::PolygonRef& r) {
                           return std::binary_search(sub->watched.begin(),
                                                     sub->watched.end(),
-                                                    gids[r.polygon_id]);
+                                                    r.polygon_id);
                         });
       });
   {

@@ -107,9 +107,9 @@ struct SubscriptionSpec {
 
 /// Add()'s receipt: the registry id plus the watched-set figures resolved
 /// against the subscribe-time snapshot (also the SUBSCRIPTION_RESULT wire
-/// payload). `coverage_intervals` counts the covering cells, clipped to
-/// their shard's Hilbert interval, that reference a watched polygon — a
-/// size figure for the watched region, not matcher state.
+/// payload). `coverage_intervals` counts the covering cells that
+/// reference a watched polygon — a size figure for the watched region,
+/// not matcher state.
 struct SubscriptionInfo {
   uint64_t id = 0;
   uint64_t epoch = 0;

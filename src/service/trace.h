@@ -16,7 +16,7 @@ enum class TraceStage : uint8_t {
   kAdmission = 0,  // admission-control decision (rate/bytes/watermark)
   kDecode = 1,     // wire payload -> QueryBatch, up to the submit call
   kQueue = 2,      // bounded-queue wait until a worker picks it up
-  kDecompose = 3,  // route batch to shards + carve (shard, range) tasks
+  kDecompose = 3,  // carve the batch into sub-range tasks
   kProbe = 4,      // per-task probe/refine across the pool (wall, not CPU)
   kMerge = 5,      // fixed-order merge of per-task results
   kRespond = 6,    // response encode + delivery to the event loop

@@ -21,7 +21,9 @@ namespace actjoin::store {
 namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x53544341;  // "ACTS"
-constexpr uint32_t kSnapshotVersion = 1;
+// v2 holds one index per dataset; v1 files (per-shard sections) load as
+// kBadVersion.
+constexpr uint32_t kSnapshotVersion = 2;
 constexpr uint32_t kDeltaMagic = 0x44544341;  // "ACTD"
 constexpr uint32_t kDeltaVersion = 1;
 constexpr uint32_t kManifestMagic = 0x4D544341;  // "ACTM"
@@ -29,9 +31,9 @@ constexpr uint32_t kManifestMagic = 0x4D544341;  // "ACTM"
 // entry; v1 manifests still parse (base = generation, no deltas).
 constexpr uint32_t kManifestVersion = 2;
 
-// Section tags (the act index body owns tags 1..3).
+// Section tags (the act index body owns tags 1..3). 17 was the v1
+// per-shard meta section; it is retired, never to be reused.
 constexpr uint32_t kStoreHeaderTag = 16;
-constexpr uint32_t kShardMetaTag = 17;
 constexpr uint32_t kDeltaHeaderTag = 18;
 constexpr uint32_t kDeltaRecordTag = 19;
 constexpr uint32_t kManifestTag = 32;
@@ -107,26 +109,14 @@ std::vector<uint8_t> EncodeSnapshot(const std::string& name,
   w.PutU32(kSnapshotVersion);
 
   size_t s = act::BeginSection(&w, kStoreHeaderTag);
-  w.PutU32(static_cast<uint32_t>(index.num_shards()));
-  w.PutU32(static_cast<uint32_t>(index.options().routing_cover_cells));
   w.PutU8(static_cast<uint8_t>(index.grid().curve()));
   w.PutU64(index.num_polygons());
   w.PutU64(generation);
   w.PutString(name);
   act::EndSection(&w, s);
-
-  for (int shard = 0; shard < index.num_shards(); ++shard) {
-    const act::PolygonIndex* shard_index = index.shard_index(shard);
-    const std::vector<uint32_t>& gids = index.shard_polygon_ids(shard);
-    s = act::BeginSection(&w, kShardMetaTag);
-    w.PutU8(shard_index != nullptr ? 1 : 0);
-    w.PutU32(static_cast<uint32_t>(gids.size()));
-    for (uint32_t gid : gids) w.PutU32(gid);
-    act::EndSection(&w, s);
-    // The per-shard index rides as a regular act index body (its own
-    // CRC-framed sections), so shard loads reuse the act parser verbatim.
-    if (shard_index != nullptr) act::AppendIndexBody(*shard_index, &w);
-  }
+  // The index rides as a regular act index body (its own CRC-framed
+  // sections), so loads reuse the act parser verbatim.
+  if (index.index() != nullptr) act::AppendIndexBody(*index.index(), &w);
   return w.Take();
 }
 
@@ -154,79 +144,39 @@ std::shared_ptr<const service::ShardedIndex> ParseSnapshot(
     return nullptr;
   }
   util::ByteReader r(payload);
-  uint32_t num_shards = r.U32();
-  uint32_t routing_cover_cells = r.U32();
   uint8_t curve = r.U8();
   uint64_t num_polygons = r.U64();
   r.U64();  // generation: advisory (the file name is authoritative)
   std::string name = r.String();
   // num_polygons feeds counts.assign() on every join: bound it by the
-  // file size (a real polygon costs far more than one byte in some shard
-  // body) so a forged header cannot plant a multi-exabyte allocation
-  // that detonates at query time.
-  if (!r.AtEnd() || num_shards == 0 || num_shards > 1u << 20 || curve > 1 ||
-      num_polygons > bytes.size() || name != expect_name) {
-    Fail(error, act::LoadError::kBadData);
-    return nullptr;
-  }
-
-  std::vector<service::ShardedIndex::ShardParts> parts(num_shards);
-  act::BuildOptions build;  // taken from the first non-empty shard
-  bool have_build = false;
-  for (uint32_t shard = 0; shard < num_shards; ++shard) {
-    if (!act::ReadSection(bytes, &offset, kShardMetaTag, &payload, error)) {
-      return nullptr;
-    }
-    util::ByteReader meta(payload);
-    uint8_t has_index = meta.U8();
-    uint32_t n_gids = meta.U32();
-    if (!meta.ok() || has_index > 1 || n_gids > meta.remaining() / 4 + 1) {
-      Fail(error, act::LoadError::kBadData);
-      return nullptr;
-    }
-    std::vector<uint32_t>& gids = parts[shard].global_ids;
-    gids.reserve(n_gids);
-    for (uint32_t i = 0; i < n_gids; ++i) {
-      uint32_t gid = meta.U32();
-      if (!meta.ok() || gid >= num_polygons) {
-        Fail(error, act::LoadError::kBadData);
-        return nullptr;
-      }
-      gids.push_back(gid);
-    }
-    if (!meta.AtEnd() || (has_index == 0) != gids.empty()) {
-      Fail(error, act::LoadError::kBadData);
-      return nullptr;
-    }
-    if (has_index != 0) {
-      std::optional<act::PolygonIndex> index =
-          act::ParseIndexBody(bytes, &offset, error);
-      if (!index.has_value()) return nullptr;
-      if (index->polygons().size() != gids.size()) {
-        Fail(error, act::LoadError::kBadData);
-        return nullptr;
-      }
-      if (!have_build) {
-        build = index->options();
-        have_build = true;
-      }
-      parts[shard].index =
-          std::make_shared<const act::PolygonIndex>(*std::move(index));
-    }
-  }
-  if (offset != bytes.size()) {
+  // file size (a real polygon costs far more than one byte in the index
+  // body) so a forged header cannot plant a multi-exabyte allocation that
+  // detonates at query time.
+  if (!r.AtEnd() || curve > 1 || num_polygons > bytes.size() ||
+      name != expect_name) {
     Fail(error, act::LoadError::kBadData);
     return nullptr;
   }
 
   service::ShardingOptions opts;
-  opts.num_shards = static_cast<int>(num_shards);
-  opts.routing_cover_cells = static_cast<int>(routing_cover_cells);
-  opts.build = build;
+  std::shared_ptr<const act::PolygonIndex> index;
+  if (num_polygons > 0) {
+    std::optional<act::PolygonIndex> body =
+        act::ParseIndexBody(bytes, &offset, error);
+    if (!body.has_value()) return nullptr;
+    if (body->polygons().size() != num_polygons) {
+      Fail(error, act::LoadError::kBadData);
+      return nullptr;
+    }
+    opts.build = body->options();
+    index = std::make_shared<const act::PolygonIndex>(*std::move(body));
+  }
+  if (offset != bytes.size()) {
+    Fail(error, act::LoadError::kBadData);
+    return nullptr;
+  }
   return std::make_shared<const service::ShardedIndex>(
-      service::ShardedIndex::FromParts(
-          geo::Grid(static_cast<geo::CurveType>(curve)), opts, num_polygons,
-          std::move(parts)));
+      geo::Grid(static_cast<geo::CurveType>(curve)), opts, std::move(index));
 }
 
 // --- Delta file codec -------------------------------------------------------

@@ -34,21 +34,19 @@
 // GarbageCollect. Generations come from one monotonic counter persisted
 // in the manifest, so a committed generation number is never reissued.
 //
-// Snapshot file format (v1, little-endian; section framing and LoadError
+// Snapshot file format (v2, little-endian; section framing and LoadError
 // from act/serialization.h — every section carries a CRC32C):
 //
 //   u32 magic "ACTS" | u32 version
-//   header section:  num_shards, routing_cover_cells, num_polygons,
-//                    generation, dataset name
-//   per shard:       shard-meta section (has_index flag + global id map),
-//                    then — for non-empty shards — the act index body
-//                    (options/polygons/covering sections, as on a
-//                    single-index file)
+//   header section:  curve, num_polygons, generation, dataset name
+//   when num_polygons > 0: the act index body (options/polygons/covering
+//                    sections, as on a single-index file)
 //
-// Loading re-derives classifier/encoding/trie per shard but never redoes
-// covering work; ShardedIndex::FromParts reassembles the exact shard
-// layout, so joins against a loaded snapshot are byte-identical to the
-// saved index (asserted end-to-end over the wire in tests/store_test.cc).
+// A v1 file (one section per Hilbert-range shard) loads as the typed
+// kBadVersion. Loading re-derives classifier/encoding/trie but never
+// redoes covering work, so joins against a loaded snapshot are
+// byte-identical to the saved index (asserted end-to-end over the wire in
+// tests/store_test.cc).
 //
 // Delta files (the live-mutation half of the store) make checkpointing a
 // mutated dataset O(churn) instead of O(index): PutDelta persists a span

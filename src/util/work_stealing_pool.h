@@ -1,12 +1,12 @@
 // Work-stealing task pool shared by the serving layer's join executors.
 //
 // ParallelFor's atomic-counter loop balances one flat range perfectly, but
-// the sharded executors need something it cannot give: several *concurrent*
-// joins, each decomposed into coarse (shard, sub-range) task units, all
+// the serving executors need something it cannot give: several
+// *concurrent* joins, each decomposed into coarse sub-range task units, all
 // drawing from one fixed thread budget without nested spawns. A static
-// per-shard split of that budget would under-width hot shards on exactly
+// split of that budget would leave threads idle behind the slow tasks of
 // the skewed taxi/Twitter-style batches the paper targets; here every
-// thread of the budget drains whichever shard is hot.
+// thread of the budget drains whatever work is left.
 //
 // Design: a fixed set of worker threads, one mutex-protected deque per
 // worker. A Run(n, fn) call block-distributes its n task indices across

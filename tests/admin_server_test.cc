@@ -60,7 +60,6 @@ std::shared_ptr<const ShardedIndex> SmallSnapshot() {
   geo::Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.15);
   service::ShardingOptions opts;
-  opts.num_shards = 2;
   opts.build.threads = 1;
   return std::make_shared<const ShardedIndex>(
       ShardedIndex::Build(ds.polygons, grid, opts));

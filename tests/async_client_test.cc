@@ -53,12 +53,9 @@ using service::ShardedIndex;
 using service::ShardingOptions;
 
 std::shared_ptr<const ShardedIndex> BuildShared(
-    const std::vector<geom::Polygon>& polygons, const Grid& grid,
-    int num_shards) {
-  ShardingOptions opts;
-  opts.num_shards = num_shards;
+    const std::vector<geom::Polygon>& polygons, const Grid& grid) {
   return std::make_shared<const ShardedIndex>(
-      ShardedIndex::Build(polygons, grid, opts));
+      ShardedIndex::Build(polygons, grid, {}));
 }
 
 QueryBatch MakeBatch(const wl::PointSet& pts, JoinMode mode) {
@@ -91,11 +88,11 @@ struct TestServer {
     TestServer out;
     out.ds = wl::Neighborhoods(0.05);
     out.service = std::make_unique<JoinService>(
-        BuildShared(out.ds.polygons, grid, 2), sopts);
+        BuildShared(out.ds.polygons, grid), sopts);
     std::vector<geom::Polygon> pb = wl::JitteredPartition(
         {.mbr = out.ds.mbr, .nx = 5, .ny = 4, .edge_depth = 2, .seed = 3131});
     out.id_b = out.service->catalog()
-                   .Add("partition", BuildShared(pb, grid, 2))
+                   .Add("partition", BuildShared(pb, grid))
                    .value();
     out.server = std::make_unique<JoinServer>(out.service.get(), nopts);
     std::string error;

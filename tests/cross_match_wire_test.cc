@@ -50,17 +50,10 @@ using service::ServiceCatalog;
 using service::ServiceOptions;
 using service::ShardedIndex;
 
-service::ShardingOptions Sharding(int num_shards) {
-  service::ShardingOptions opts;
-  opts.num_shards = num_shards;
-  return opts;
-}
-
 std::shared_ptr<const ShardedIndex> BuildShared(
-    const std::vector<geom::Polygon>& polygons, const Grid& grid,
-    int num_shards) {
+    const std::vector<geom::Polygon>& polygons, const Grid& grid) {
   return std::make_shared<const ShardedIndex>(
-      ShardedIndex::Build(polygons, grid, Sharding(num_shards)));
+      ShardedIndex::Build(polygons, grid, {}));
 }
 
 std::vector<geom::Polygon> Partition(int nx, int ny, uint64_t seed) {
@@ -335,8 +328,8 @@ struct ServerFixture {
     Grid grid;
     sopts.worker_threads = worker_threads;
     service =
-        std::make_unique<JoinService>(BuildShared(pa, grid, 3), sopts);
-    id_b = service->catalog().Add("b", BuildShared(pb, grid, 2)).value();
+        std::make_unique<JoinService>(BuildShared(pa, grid), sopts);
+    id_b = service->catalog().Add("b", BuildShared(pb, grid)).value();
     server = std::make_unique<JoinServer>(service.get(), ServerOptions{});
   }
 

@@ -42,17 +42,10 @@ using service::ShardedIndex;
 
 using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
 
-service::ShardingOptions Sharding(int num_shards) {
-  service::ShardingOptions opts;
-  opts.num_shards = num_shards;
-  return opts;
-}
-
 std::shared_ptr<const ShardedIndex> BuildShared(
-    const std::vector<geom::Polygon>& polygons, const Grid& grid,
-    int num_shards) {
+    const std::vector<geom::Polygon>& polygons, const Grid& grid) {
   return std::make_shared<const ShardedIndex>(
-      ShardedIndex::Build(polygons, grid, Sharding(num_shards)));
+      ShardedIndex::Build(polygons, grid, {}));
 }
 
 /// A jittered nx*ny partition of the NYC extent. dilation 0 keeps the
@@ -99,11 +92,10 @@ void ExpectStatsEqual(const CrossMatchStats& got, const CrossMatchStats& want) {
 /// and asserts all outputs are byte-identical (and stats width-invariant).
 void ExpectAllImplementationsAgree(const std::vector<geom::Polygon>& pa,
                                    const std::vector<geom::Polygon>& pb,
-                                   CrossMatchMode mode, int shards_a = 3,
-                                   int shards_b = 5) {
+                                   CrossMatchMode mode) {
   Grid grid;
-  ShardedIndex ia = ShardedIndex::Build(pa, grid, Sharding(shards_a));
-  ShardedIndex ib = ShardedIndex::Build(pb, grid, Sharding(shards_b));
+  ShardedIndex ia = ShardedIndex::Build(pa, grid, {});
+  ShardedIndex ib = ShardedIndex::Build(pb, grid, {});
 
   Pairs want = BruteForceCrossMatch(pa, pb, mode);
   ExpectSortedUnique(want);
@@ -158,7 +150,7 @@ TEST(Join2CrossMatch, SharedEdgeSelfJoin) {
 
   // Self-join sanity: the diagonal intersects and covers itself.
   Grid grid;
-  ShardedIndex ia = ShardedIndex::Build(pa, grid, Sharding(2));
+  ShardedIndex ia = ShardedIndex::Build(pa, grid, {});
   for (CrossMatchMode mode :
        {CrossMatchMode::kIntersects, CrossMatchMode::kContains}) {
     Pairs got = CrossMatchIndexes(ia, ia, {.mode = mode});
@@ -180,12 +172,12 @@ TEST(Join2CrossMatch, ContainmentNest) {
   for (double h : halves_a) pa.push_back(CenteredSquare(h));
   for (double h : halves_b) pb.push_back(CenteredSquare(h));
 
-  ExpectAllImplementationsAgree(pa, pb, CrossMatchMode::kContains, 2, 3);
-  ExpectAllImplementationsAgree(pa, pb, CrossMatchMode::kIntersects, 2, 3);
+  ExpectAllImplementationsAgree(pa, pb, CrossMatchMode::kContains);
+  ExpectAllImplementationsAgree(pa, pb, CrossMatchMode::kIntersects);
 
   Grid grid;
-  ShardedIndex ia = ShardedIndex::Build(pa, grid, Sharding(2));
-  ShardedIndex ib = ShardedIndex::Build(pb, grid, Sharding(2));
+  ShardedIndex ia = ShardedIndex::Build(pa, grid, {});
+  ShardedIndex ib = ShardedIndex::Build(pb, grid, {});
   Pairs covers =
       CrossMatchIndexes(ia, ib, {.mode = CrossMatchMode::kContains});
   Pairs want;
@@ -213,8 +205,8 @@ TEST(Join2CrossMatch, EmptyOverlapPrunesEverything) {
       {.mbr = right, .nx = 4, .ny = 4, .edge_depth = 1, .seed = 707});
 
   Grid grid;
-  ShardedIndex ia = ShardedIndex::Build(pa, grid, Sharding(3));
-  ShardedIndex ib = ShardedIndex::Build(pb, grid, Sharding(3));
+  ShardedIndex ia = ShardedIndex::Build(pa, grid, {});
+  ShardedIndex ib = ShardedIndex::Build(pb, grid, {});
   for (CrossMatchMode mode :
        {CrossMatchMode::kIntersects, CrossMatchMode::kContains}) {
     CrossMatchStats stats;
@@ -231,8 +223,8 @@ TEST(Join2CrossMatch, SharedExternalPoolMatchesTransient) {
   std::vector<geom::Polygon> pa = Partition(5, 5, 808);
   std::vector<geom::Polygon> pb = Partition(6, 4, 909);
   Grid grid;
-  ShardedIndex ia = ShardedIndex::Build(pa, grid, Sharding(4));
-  ShardedIndex ib = ShardedIndex::Build(pb, grid, Sharding(4));
+  ShardedIndex ia = ShardedIndex::Build(pa, grid, {});
+  ShardedIndex ib = ShardedIndex::Build(pb, grid, {});
 
   CrossMatchStats want_stats;
   Pairs want = CrossMatchIndexes(
@@ -250,21 +242,19 @@ TEST(Join2CrossMatch, SharedExternalPoolMatchesTransient) {
 TEST(Join2CrossMatch, IntervalViewIsSortedAndDisjoint) {
   std::vector<geom::Polygon> pa = Partition(6, 6, 111, 0.3);
   Grid grid;
-  for (int shards : {1, 3, 8}) {
-    ShardedIndex ia = ShardedIndex::Build(pa, grid, Sharding(shards));
-    IntervalView view = IntervalView::FromIndex(ia);
-    ASSERT_GT(view.size(), 0u);
-    for (size_t i = 0; i < view.size(); ++i) {
-      const IntervalView::Interval& iv = view.interval(i);
-      EXPECT_LE(iv.lo, iv.hi);
-      EXPECT_FALSE(view.refs(iv).empty());
-      if (i > 0) {
-        EXPECT_LT(view.interval(i - 1).hi, iv.lo);
-      }
+  ShardedIndex ia = ShardedIndex::Build(pa, grid, {});
+  IntervalView view = IntervalView::FromIndex(ia);
+  ASSERT_GT(view.size(), 0u);
+  for (size_t i = 0; i < view.size(); ++i) {
+    const IntervalView::Interval& iv = view.interval(i);
+    EXPECT_LE(iv.lo, iv.hi);
+    EXPECT_FALSE(view.refs(iv).empty());
+    if (i > 0) {
+      EXPECT_LT(view.interval(i - 1).hi, iv.lo);
     }
-    for (uint32_t gid = 0; gid < pa.size(); ++gid) {
-      EXPECT_NE(view.polygon(gid), nullptr);
-    }
+  }
+  for (uint32_t gid = 0; gid < pa.size(); ++gid) {
+    EXPECT_NE(view.polygon(gid), nullptr);
   }
 }
 
@@ -276,14 +266,13 @@ TEST(Join2OrderingContract, AllPairProducersSortedUnique) {
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 2000, grid, 42);
 
   // Point-join producers: act::ExecuteJoinPairs (via PolygonIndex) and
-  // the routed ShardedIndex::JoinPairs promise sorted unique pairs.
+  // ShardedIndex::JoinPairs promise sorted unique pairs.
   act::PolygonIndex single = act::PolygonIndex::Build(ds.polygons, grid, {});
   auto single_pairs =
       single.JoinPairs(pts.AsJoinInput(), act::JoinMode::kExact);
   ExpectSortedUnique(single_pairs);
 
-  ShardedIndex sharded =
-      ShardedIndex::Build(ds.polygons, grid, Sharding(4));
+  ShardedIndex sharded = ShardedIndex::Build(ds.polygons, grid, {});
   auto sharded_pairs =
       sharded.JoinPairs(pts.AsJoinInput(), act::JoinMode::kExact);
   ExpectSortedUnique(sharded_pairs);
@@ -292,7 +281,7 @@ TEST(Join2OrderingContract, AllPairProducersSortedUnique) {
   // Pair-join producers reuse the same contract — that is what makes the
   // three implementations byte-comparable in the tests above.
   std::vector<geom::Polygon> pb = Partition(4, 4, 212);
-  ShardedIndex ib = ShardedIndex::Build(pb, grid, Sharding(2));
+  ShardedIndex ib = ShardedIndex::Build(pb, grid, {});
   ExpectSortedUnique(
       CrossMatchIndexes(sharded, ib, {.mode = CrossMatchMode::kIntersects}));
   ExpectSortedUnique(
@@ -314,11 +303,11 @@ struct TwoDatasetService {
     pa = Partition(5, 4, 131);
     pb = Partition(3, 6, 242);
     Grid grid;
-    service = std::make_unique<JoinService>(BuildShared(pa, grid, 3), opts);
+    service = std::make_unique<JoinService>(BuildShared(pa, grid), opts);
     id_a = 0;
     // ASSERT_* cannot run in a constructor; Add only fails on id-space
     // exhaustion, which a two-dataset fixture cannot hit.
-    id_b = service->catalog().Add("b", BuildShared(pb, grid, 2)).value();
+    id_b = service->catalog().Add("b", BuildShared(pb, grid)).value();
   }
 };
 

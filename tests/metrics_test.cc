@@ -313,18 +313,18 @@ TEST(Trace, SlowQueryLogConcurrentRecordKeepsInvariants) {
 // --- Service-level integration ---------------------------------------------
 
 std::shared_ptr<const ShardedIndex> BuildIndex(
-    const std::vector<geom::Polygon>& polygons, int num_shards) {
+    const std::vector<geom::Polygon>& polygons) {
   geo::Grid grid;
   act::BuildOptions bopts;
   bopts.threads = 1;
-  return std::make_shared<const ShardedIndex>(ShardedIndex::Build(
-      polygons, grid, {.num_shards = num_shards, .build = bopts}));
+  return std::make_shared<const ShardedIndex>(
+      ShardedIndex::Build(polygons, grid, {.build = bopts}));
 }
 
 TEST(Observability, ServiceRegistersCoreSeriesTracksDatasetsAndEvents) {
   geo::Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
-  auto index = BuildIndex(ds.polygons, 2);
+  auto index = BuildIndex(ds.polygons);
 
   ServiceOptions opts;
   opts.worker_threads = 2;
@@ -385,7 +385,7 @@ TEST(Observability, DisabledMetricsStillServesAndTraces) {
   // slow-query log are independent of the registry and still work.
   geo::Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
-  auto index = BuildIndex(ds.polygons, 2);
+  auto index = BuildIndex(ds.polygons);
   ServiceOptions opts;
   opts.worker_threads = 1;
   opts.enable_metrics = false;
@@ -413,7 +413,7 @@ TEST(Observability, TracedSubmitStagesTileServiceTime) {
   // stage absorbs untimed leftover so the stages tile it).
   geo::Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
-  auto index = BuildIndex(ds.polygons, 4);
+  auto index = BuildIndex(ds.polygons);
   ServiceOptions opts;
   opts.worker_threads = 2;
   JoinService service(index, opts);
@@ -485,7 +485,7 @@ TEST(Observability, StatsAndExpositionAgreeOnEveryRejectReason) {
   // as a refused mutation, not a refused join.
   geo::Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
-  auto index = BuildIndex(ds.polygons, 2);
+  auto index = BuildIndex(ds.polygons);
   ServiceOptions sopts;
   sopts.worker_threads = 1;
   sopts.queue_capacity = 8;

@@ -265,8 +265,8 @@ TEST(NetWire, JoinBatchHeaderCarriesDatasetId) {
 
 TEST(NetWire, DatasetListRoundTripAndMalformedRejection) {
   std::vector<service::DatasetInfo> datasets;
-  datasets.push_back({0, "zones", 3, 289, 8});
-  datasets.push_back({1, "census-2020", 1, 39184, 16});
+  datasets.push_back({0, "zones", 3, 289});
+  datasets.push_back({1, "census-2020", 1, 39184});
   util::ByteWriter w;
   AppendDatasetList(datasets, &w);
 
@@ -290,6 +290,18 @@ TEST(NetWire, DatasetListRoundTripAndMalformedRejection) {
   forged[0] = 0xFF;
   forged[1] = 0xFF;
   EXPECT_FALSE(DecodeDatasetList(forged, &got));
+
+  // The forged-count guard divides by the smallest real entry (24 bytes
+  // plus the name): twelve one-character names must still decode.
+  std::vector<service::DatasetInfo> short_names;
+  for (uint16_t i = 0; i < 12; ++i) {
+    short_names.push_back({i, std::string(1, static_cast<char>('a' + i)), 1,
+                           uint64_t{i} * 7});
+  }
+  util::ByteWriter sw;
+  AppendDatasetList(short_names, &sw);
+  ASSERT_TRUE(DecodeDatasetList(sw.bytes(), &got));
+  EXPECT_EQ(got, short_names);
 }
 
 TEST(NetWire, TracedJoinResultRoundTripAndRespondPatch) {
@@ -629,6 +641,14 @@ TEST(NetWire, TryParseFrameEdges) {
             FrameParse::kProtocolError);
   EXPECT_EQ(err, WireError::kUnsupportedVersion);
   EXPECT_EQ(header.request_id, 9u);
+  // So does a v9 peer, whose DATASET_LIST entries still carry a shard
+  // count.
+  bad_version[4] = 9;
+  EXPECT_EQ(TryParseFrame(bad_version, kDefaultMaxFrameBytes, &header,
+                          &frame_bytes, &err),
+            FrameParse::kProtocolError);
+  EXPECT_EQ(err, WireError::kUnsupportedVersion);
+  EXPECT_EQ(header.request_id, 9u);
 
   // Over-limit payload length: typed before any allocation happens.
   EXPECT_EQ(TryParseFrame(frame, /*max_frame_bytes=*/64, &header,
@@ -785,16 +805,13 @@ struct TestServer {
   std::unique_ptr<JoinService> service;
   std::unique_ptr<JoinServer> server;
 
-  static TestServer Make(const ServiceOptions& sopts, ServerOptions nopts,
-                         int num_shards = 2) {
+  static TestServer Make(const ServiceOptions& sopts, ServerOptions nopts) {
     Grid grid;
     wl::PolygonDataset ds = wl::Neighborhoods(0.05);
     act::BuildOptions bopts;
     bopts.threads = 1;
     TestServer out;
-    out.index =
-        BuildShared(ds.polygons, grid, {.num_shards = num_shards,
-                                        .build = bopts});
+    out.index = BuildShared(ds.polygons, grid, {.build = bopts});
     out.service = std::make_unique<JoinService>(out.index, sopts);
     out.server = std::make_unique<JoinServer>(out.service.get(), nopts);
     std::string error;
@@ -1116,9 +1133,8 @@ TEST(NetServer, ConcurrentClientsAcrossHotSwapsOverLoopback) {
                                       ds.polygons.begin() + half_count);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto half = BuildShared(half_set, grid, {.num_shards = 2, .build = bopts});
-  auto full = BuildShared(ds.polygons, grid,
-                          {.num_shards = 4, .build = bopts});
+  auto half = BuildShared(half_set, grid, {.build = bopts});
+  auto full = BuildShared(ds.polygons, grid, {.build = bopts});
 
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 400, grid, 59);
   uint64_t want_half =
@@ -1212,9 +1228,8 @@ TEST(NetServer, MultiDatasetJoinsRouteByIdAndListDatasets) {
                                       ds.polygons.begin() + half_count);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto half = BuildShared(half_set, grid, {.num_shards = 2, .build = bopts});
-  auto full = BuildShared(ds.polygons, grid,
-                          {.num_shards = 4, .build = bopts});
+  auto half = BuildShared(half_set, grid, {.build = bopts});
+  auto full = BuildShared(ds.polygons, grid, {.build = bopts});
 
   ServiceOptions sopts;
   sopts.worker_threads = 2;
@@ -1462,8 +1477,7 @@ TEST(NetServer, TracedJoinStagesTileLoopbackWallTime) {
   }
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto index = BuildShared(stacked, grid, {.num_shards = 4,
-                                           .build = bopts});
+  auto index = BuildShared(stacked, grid, {.build = bopts});
   JoinService service(index, sopts);
   JoinServer server(&service, ServerOptions{});
   std::string error;
@@ -1548,8 +1562,7 @@ TEST(NetServer, StagePerfCountersRideTracedJoins) {
   wl::PolygonDataset ds = wl::Neighborhoods(0.4);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto index = BuildShared(ds.polygons, grid, {.num_shards = 2,
-                                               .build = bopts});
+  auto index = BuildShared(ds.polygons, grid, {.build = bopts});
   JoinService service(index, sopts);
   JoinServer server(&service, ServerOptions{});
   std::string error;
@@ -1607,8 +1620,7 @@ TEST(NetServer, StagePerfSimulatedDenialIsTypedAllZero) {
   wl::PolygonDataset ds = wl::Neighborhoods(0.2);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto index = BuildShared(ds.polygons, grid, {.num_shards = 1,
-                                               .build = bopts});
+  auto index = BuildShared(ds.polygons, grid, {.build = bopts});
   JoinService service(index, sopts);
   JoinServer server(&service, ServerOptions{});
   std::string error;
@@ -1642,9 +1654,8 @@ TEST(NetServer, GetMetricsOverLoopbackBothFormats) {
                                       ds.polygons.begin() + half_count);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto half = BuildShared(half_set, grid, {.num_shards = 2, .build = bopts});
-  auto full = BuildShared(ds.polygons, grid,
-                          {.num_shards = 4, .build = bopts});
+  auto half = BuildShared(half_set, grid, {.build = bopts});
+  auto full = BuildShared(ds.polygons, grid, {.build = bopts});
 
   ServiceOptions sopts;
   sopts.worker_threads = 2;
@@ -1822,9 +1833,8 @@ TEST(DeltaNet, LiveMutationOverLoopbackMatchesFreshBuild) {
                                      ds.polygons.end());
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto half = BuildShared(half_set, grid, {.num_shards = 2, .build = bopts});
-  auto full = BuildShared(ds.polygons, grid,
-                          {.num_shards = 2, .build = bopts});
+  auto half = BuildShared(half_set, grid, {.build = bopts});
+  auto full = BuildShared(ds.polygons, grid, {.build = bopts});
 
   ServiceOptions sopts;
   sopts.worker_threads = 2;

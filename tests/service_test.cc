@@ -1,4 +1,4 @@
-// Tests for the serving layer (src/service/): sharded joins must be
+// Tests for the serving layer (src/service/): executor joins must be
 // byte-identical to the single-index join, snapshot swaps must never be
 // observable as torn or missing state by concurrent readers, and the
 // service's queue/lifecycle edges (full, never-started, shutdown) must be
@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -47,101 +48,6 @@ std::shared_ptr<const ShardedIndex> BuildShared(
       ShardedIndex::Build(polygons, grid, opts));
 }
 
-// --- ShardedIndex ----------------------------------------------------------
-
-TEST(ServiceSharding, ExactJoinByteIdenticalToUnsharded) {
-  Grid grid;
-  wl::PolygonDataset ds = wl::Neighborhoods(0.08);
-  wl::PointSet pts = wl::TaxiPoints(ds.mbr, 4000, grid, 41);
-
-  act::BuildOptions bopts;
-  bopts.threads = 1;
-  act::PolygonIndex single = act::PolygonIndex::Build(ds.polygons, grid, bopts);
-  auto want_pairs = single.JoinPairs(pts.AsJoinInput(), JoinMode::kExact);
-  act::JoinStats want =
-      single.Join(pts.AsJoinInput(), {JoinMode::kExact, /*threads=*/1});
-
-  for (int shards : {1, 2, 5, 8}) {
-    ShardedIndex sharded = ShardedIndex::Build(
-        ds.polygons, grid, {.num_shards = shards, .build = bopts});
-    EXPECT_EQ(sharded.num_shards(), shards);
-
-    auto got_pairs = sharded.JoinPairs(pts.AsJoinInput(), JoinMode::kExact);
-    EXPECT_EQ(got_pairs, want_pairs) << shards << " shards";
-
-    for (int threads : {1, 4}) {
-      act::JoinStats got =
-          sharded.Join(pts.AsJoinInput(), {JoinMode::kExact, threads});
-      EXPECT_EQ(got.counts, want.counts) << shards << " shards, " << threads
-                                         << " threads";
-      EXPECT_EQ(got.result_pairs, want.result_pairs);
-      EXPECT_EQ(got.matched_points, want.matched_points);
-      EXPECT_EQ(got.num_points, want.num_points);
-    }
-  }
-}
-
-TEST(ServiceSharding, ApproximateStaysWithinPrecisionBound) {
-  // Sharded approximate joins keep the paper's guarantee (every emitted
-  // pair within bound_m of the polygon) and never miss a true hit. They
-  // may emit fewer false positives than the unsharded index, so the
-  // comparison is containment, not equality.
-  Grid grid;
-  wl::PolygonDataset ds = wl::Neighborhoods(0.06);
-  wl::PointSet pts = wl::TaxiPoints(ds.mbr, 2500, grid, 42);
-  const double bound_m = 100.0;
-
-  act::BuildOptions bopts;
-  bopts.threads = 1;
-  bopts.precision_bound_m = bound_m;
-  act::PolygonIndex single = act::PolygonIndex::Build(ds.polygons, grid, bopts);
-  auto unsharded =
-      single.JoinPairs(pts.AsJoinInput(), JoinMode::kApproximate);
-  auto exact = act::BruteForceJoinPairs(pts.AsJoinInput(), ds.polygons);
-
-  ShardedIndex sharded = ShardedIndex::Build(ds.polygons, grid,
-                                             {.num_shards = 4, .build = bopts});
-  auto approx = sharded.JoinPairs(pts.AsJoinInput(), JoinMode::kApproximate);
-
-  ASSERT_TRUE(std::includes(approx.begin(), approx.end(), exact.begin(),
-                            exact.end()));
-  ASSERT_TRUE(std::includes(unsharded.begin(), unsharded.end(),
-                            approx.begin(), approx.end()));
-  for (const auto& [pi, pid] : approx) {
-    ASSERT_LE(geom::DistanceToPolygonMeters(ds.polygons[pid],
-                                            pts.points()[pi]),
-              bound_m * 1.01);
-  }
-}
-
-TEST(ServiceSharding, EveryPolygonAssignedAndRouterTotal) {
-  Grid grid;
-  wl::PolygonDataset ds = wl::Neighborhoods(0.08);
-  act::BuildOptions bopts;
-  bopts.threads = 1;
-  ShardedIndex sharded = ShardedIndex::Build(ds.polygons, grid,
-                                             {.num_shards = 6, .build = bopts});
-
-  std::vector<bool> assigned(ds.polygons.size(), false);
-  for (int s = 0; s < sharded.num_shards(); ++s) {
-    for (uint32_t pid : sharded.shard_polygon_ids(s)) {
-      ASSERT_LT(pid, ds.polygons.size());
-      assigned[pid] = true;
-    }
-  }
-  for (size_t pid = 0; pid < assigned.size(); ++pid) {
-    EXPECT_TRUE(assigned[pid]) << "polygon " << pid << " in no shard";
-  }
-
-  // The router is total: every leaf cell id maps to a valid shard.
-  wl::PointSet pts = wl::SyntheticUniformPoints(ds.mbr, 2000, grid, 43);
-  for (uint64_t id : pts.cell_ids()) {
-    int s = sharded.ShardOf(id);
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, sharded.num_shards());
-  }
-}
-
 // All deterministic JoinStats fields (everything but wall-clock seconds).
 void ExpectStatsEqual(const act::JoinStats& got, const act::JoinStats& want) {
   EXPECT_EQ(got.num_points, want.num_points);
@@ -159,24 +65,32 @@ QueryBatch MakeBatch(const wl::PointSet& pts, JoinMode mode) {
   return {pts.cell_ids(), pts.points(), mode};
 }
 
-// Builds a batch of `total` points where >= `frac` of them route to the
-// index's most-populated shard — the hot-shard shape the work-stealing
-// executor exists for. Points are recycled from `pts` by routing verdict.
-QueryBatch MakeSkewedBatch(const ShardedIndex& index, const wl::PointSet& pts,
-                           size_t total, double frac, JoinMode mode) {
-  std::vector<size_t> per_shard(index.num_shards(), 0);
-  for (uint64_t id : pts.cell_ids()) ++per_shard[index.ShardOf(id)];
-  const int hot = static_cast<int>(
-      std::max_element(per_shard.begin(), per_shard.end()) -
-      per_shard.begin());
+// The coarse Hilbert cell (face plus the first 10 levels) holding a leaf
+// cell id: the unit of spatial skew below.
+uint64_t CoarseCell(uint64_t leaf_cell_id) { return leaf_cell_id >> 41; }
+
+// Builds a batch of `total` points where >= `frac` of them fall in the
+// most-populated coarse cell of `pts` — the hot-spot shape the
+// work-stealing executor exists for: the tasks over the hot spot's points
+// refine more candidates than the rest. Points are recycled from `pts`.
+QueryBatch MakeSkewedBatch(const wl::PointSet& pts, size_t total,
+                           double frac, JoinMode mode) {
+  std::map<uint64_t, size_t> per_cell;
+  for (uint64_t id : pts.cell_ids()) ++per_cell[CoarseCell(id)];
+  const uint64_t hot =
+      std::max_element(per_cell.begin(), per_cell.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.second < b.second;
+                       })
+          ->first;
 
   std::vector<size_t> hot_points, cold_points;
   for (size_t i = 0; i < pts.size(); ++i) {
-    (index.ShardOf(pts.cell_ids()[i]) == hot ? hot_points : cold_points)
+    (CoarseCell(pts.cell_ids()[i]) == hot ? hot_points : cold_points)
         .push_back(i);
   }
-  // Tiny datasets can route everything to one shard; a hot-only batch is
-  // still a valid (maximal) skew.
+  // Tiny extents can put everything in one coarse cell; a hot-only batch
+  // is still a valid (maximal) skew.
   if (cold_points.empty()) cold_points = hot_points;
 
   QueryBatch batch;
@@ -194,13 +108,84 @@ QueryBatch MakeSkewedBatch(const ShardedIndex& index, const wl::PointSet& pts,
   return batch;
 }
 
+// --- ShardedIndex ----------------------------------------------------------
+//
+// A snapshot is one trie over every polygon; "unsharded" is the
+// act::PolygonIndex over the same polygons, which the executor must match
+// at every width.
+
+TEST(ServiceSharding, ExactJoinByteIdenticalToUnsharded) {
+  // At every width, exact results equal act::PolygonIndex over the same
+  // polygons and the brute-force PIP ground truth, whether the trie was
+  // built exact or with a precision bound. 9000 points give several tasks
+  // per join at widths 2 and 4.
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.08);
+  wl::PointSet pts = wl::TaxiPoints(ds.mbr, 9000, grid, 41);
+  const act::JoinInput input = pts.AsJoinInput();
+  const auto truth = act::BruteForceJoinPairs(input, ds.polygons);
+
+  act::BuildOptions exact_opts;
+  exact_opts.threads = 1;
+  act::BuildOptions approx_opts = exact_opts;
+  approx_opts.precision_bound_m = 100.0;
+  for (const act::BuildOptions& bopts : {exact_opts, approx_opts}) {
+    act::PolygonIndex single =
+        act::PolygonIndex::Build(ds.polygons, grid, bopts);
+    ShardedIndex index =
+        ShardedIndex::Build(ds.polygons, grid, {.build = bopts});
+    const auto want_pairs = single.JoinPairs(input, JoinMode::kExact);
+    const act::JoinStats want = single.Join(input, {JoinMode::kExact, 1});
+    EXPECT_EQ(want_pairs, truth);
+    for (int threads : {1, 2, 4}) {
+      EXPECT_EQ(index.JoinPairs(input, JoinMode::kExact, threads), want_pairs)
+          << threads << " threads";
+      ExpectStatsEqual(index.Join(input, {JoinMode::kExact, threads}), want);
+    }
+  }
+}
+
+TEST(ServiceSharding, ApproximateStaysWithinPrecisionBound) {
+  // Approximate joins keep the paper's guarantee (every emitted pair within
+  // bound_m of the polygon) and never miss a true hit; with one trie they
+  // also equal act::PolygonIndex over the same polygons at every width.
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.06);
+  wl::PointSet pts = wl::TaxiPoints(ds.mbr, 9000, grid, 42);
+  const act::JoinInput input = pts.AsJoinInput();
+  const auto truth = act::BruteForceJoinPairs(input, ds.polygons);
+  const double bound_m = 100.0;
+
+  act::BuildOptions bopts;
+  bopts.threads = 1;
+  bopts.precision_bound_m = bound_m;
+  act::PolygonIndex single = act::PolygonIndex::Build(ds.polygons, grid, bopts);
+  ShardedIndex index = ShardedIndex::Build(ds.polygons, grid, {.build = bopts});
+  const auto want_pairs = single.JoinPairs(input, JoinMode::kApproximate);
+  const act::JoinStats want = single.Join(input, {JoinMode::kApproximate, 1});
+
+  for (int threads : {1, 2, 4}) {
+    const auto approx = index.JoinPairs(input, JoinMode::kApproximate, threads);
+    EXPECT_EQ(approx, want_pairs) << threads << " threads";
+    ExpectStatsEqual(index.Join(input, {JoinMode::kApproximate, threads}),
+                     want);
+    ASSERT_TRUE(std::includes(approx.begin(), approx.end(), truth.begin(),
+                              truth.end()));
+    for (const auto& [pi, pid] : approx) {
+      ASSERT_LE(geom::DistanceToPolygonMeters(ds.polygons[pid],
+                                              pts.points()[pi]),
+                bound_m * 1.01);
+    }
+  }
+}
+
 // --- Work-stealing executor ------------------------------------------------
 
 TEST(ServiceExecutor, StealingAndStaticSplitByteIdentical) {
   // The executor's determinism contract: the work-stealing Join at every
-  // thread count, its width-1 (inline, task-order) run, and the unsharded
-  // index all agree bit for bit, in both modes. The name dates from when a
-  // second, static-split executor was held to the same contract here.
+  // thread count, its width-1 (inline, task-order) run, and the
+  // single index all agree bit for bit, in both modes. The name dates from
+  // when a second, static-split executor was held to the same contract.
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.08);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 5000, grid, 71);
@@ -208,8 +193,8 @@ TEST(ServiceExecutor, StealingAndStaticSplitByteIdentical) {
   act::BuildOptions bopts;
   bopts.threads = 1;
   act::PolygonIndex single = act::PolygonIndex::Build(ds.polygons, grid, bopts);
-  ShardedIndex sharded = ShardedIndex::Build(
-      ds.polygons, grid, {.num_shards = 8, .build = bopts});
+  ShardedIndex sharded =
+      ShardedIndex::Build(ds.polygons, grid, {.build = bopts});
 
   for (JoinMode mode : {JoinMode::kExact, JoinMode::kApproximate}) {
     act::JoinStats want_single =
@@ -217,8 +202,8 @@ TEST(ServiceExecutor, StealingAndStaticSplitByteIdentical) {
     act::JoinStats serial =
         sharded.Join(pts.AsJoinInput(), {mode, /*threads=*/1});
     if (mode == JoinMode::kExact) {
-      // Exact sharded results equal the unsharded index; approximate may
-      // legitimately emit fewer false positives (covered elsewhere).
+      // Approximate equality with the single index is pinned in
+      // ServiceSharding.ApproximateStaysWithinPrecisionBound.
       ExpectStatsEqual(serial, want_single);
     }
     for (int threads : {2, 4, 8}) {
@@ -237,8 +222,8 @@ TEST(ServiceExecutor, JoinPairsParallelByteIdenticalToSerial) {
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 5000, grid, 72);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  ShardedIndex sharded = ShardedIndex::Build(
-      ds.polygons, grid, {.num_shards = 5, .build = bopts});
+  ShardedIndex sharded =
+      ShardedIndex::Build(ds.polygons, grid, {.build = bopts});
 
   util::WorkStealingPool pool(3);
   for (JoinMode mode : {JoinMode::kExact, JoinMode::kApproximate}) {
@@ -255,24 +240,23 @@ TEST(ServiceExecutor, JoinPairsParallelByteIdenticalToSerial) {
 }
 
 TEST(ServiceExecutor, SkewedBatchResultsExactAtFullWidth) {
-  // >= 90% of the batch routed to one shard: the stealing executor runs
-  // the hot shard with the whole budget. Results must still match the
-  // unsharded index exactly.
+  // >= 90% of the batch in one hot spot: the stealing executor runs it
+  // with the whole budget. Results must still match the single index
+  // exactly.
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.08);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 6000, grid, 73);
   act::BuildOptions bopts;
   bopts.threads = 1;
   act::PolygonIndex single = act::PolygonIndex::Build(ds.polygons, grid, bopts);
-  ShardedIndex sharded = ShardedIndex::Build(
-      ds.polygons, grid, {.num_shards = 8, .build = bopts});
+  ShardedIndex sharded =
+      ShardedIndex::Build(ds.polygons, grid, {.build = bopts});
 
-  QueryBatch batch =
-      MakeSkewedBatch(sharded, pts, 6000, 0.9, JoinMode::kExact);
+  QueryBatch batch = MakeSkewedBatch(pts, 6000, 0.9, JoinMode::kExact);
   size_t hot_max = 0;
-  std::vector<size_t> per_shard(sharded.num_shards(), 0);
+  std::map<uint64_t, size_t> per_cell;
   for (uint64_t id : batch.cell_ids) {
-    hot_max = std::max(hot_max, ++per_shard[sharded.ShardOf(id)]);
+    hot_max = std::max(hot_max, ++per_cell[CoarseCell(id)]);
   }
   ASSERT_GE(hot_max, batch.cell_ids.size() * 9 / 10);
 
@@ -288,7 +272,7 @@ TEST(ServiceExecutor, SkewedBatchStressAcrossHotSwapsUnderSharedPool) {
   // one WorkStealingPool (threads_per_join = 4 => 3 pool workers) serves
   // heavily skewed batches from concurrent clients while the writer
   // hot-swaps the index. Exercises concurrent Run() submitters, the steal
-  // path (hot shard >= 90% of each batch), and epoch pinning, all at
+  // path (hot spot >= 90% of each batch), and epoch pinning, all at
   // once. Assertions run on the main thread only.
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
@@ -297,12 +281,11 @@ TEST(ServiceExecutor, SkewedBatchStressAcrossHotSwapsUnderSharedPool) {
                                       ds.polygons.begin() + half_count);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto half = BuildShared(half_set, grid, {.num_shards = 8, .build = bopts});
-  auto full = BuildShared(ds.polygons, grid,
-                          {.num_shards = 8, .build = bopts});
+  auto half = BuildShared(half_set, grid, {.build = bopts});
+  auto full = BuildShared(ds.polygons, grid, {.build = bopts});
 
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 3000, grid, 74);
-  QueryBatch batch = MakeSkewedBatch(*full, pts, 3000, 0.92, JoinMode::kExact);
+  QueryBatch batch = MakeSkewedBatch(pts, 3000, 0.92, JoinMode::kExact);
   act::JoinInput input{batch.cell_ids, batch.points};
   uint64_t want_half = half->Join(input, {JoinMode::kExact, 1}).result_pairs;
   uint64_t want_full = full->Join(input, {JoinMode::kExact, 1}).result_pairs;
@@ -368,8 +351,7 @@ TEST(ServiceExecutor, SharedPoolJoinByteIdenticalToSerialService) {
   act::BuildOptions bopts;
   bopts.threads = 1;
   bopts.precision_bound_m = 80.0;  // boundary cells => candidate refs exist
-  auto index = BuildShared(ds.polygons, grid,
-                           {.num_shards = 3, .build = bopts});
+  auto index = BuildShared(ds.polygons, grid, {.build = bopts});
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 3000, grid, 75);
 
   ServiceOptions pooled_opts;
@@ -605,8 +587,7 @@ TEST(ServiceLifecycle, QueueFullThenStartDrains) {
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto index = BuildShared(ds.polygons, grid,
-                           {.num_shards = 2, .build = bopts});
+  auto index = BuildShared(ds.polygons, grid, {.build = bopts});
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 500, grid, 46);
   act::JoinStats want = index->Join(pts.AsJoinInput(), {JoinMode::kExact, 1});
 
@@ -655,8 +636,7 @@ TEST(ServiceLifecycle, ShutdownDrainsAcceptedRequestsWithoutStart) {
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto index = BuildShared(ds.polygons, grid,
-                           {.num_shards = 1, .build = bopts});
+  auto index = BuildShared(ds.polygons, grid, {.build = bopts});
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 300, grid, 47);
 
   ServiceOptions sopts;
@@ -688,9 +668,8 @@ TEST(ServiceLifecycle, ConcurrentClientsAcrossHotSwaps) {
 
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto half = BuildShared(half_set, grid, {.num_shards = 2, .build = bopts});
-  auto full = BuildShared(ds.polygons, grid,
-                          {.num_shards = 4, .build = bopts});
+  auto half = BuildShared(half_set, grid, {.build = bopts});
+  auto full = BuildShared(ds.polygons, grid, {.build = bopts});
 
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 800, grid, 48);
   uint64_t want_half =
@@ -764,9 +743,8 @@ TEST(ServiceLifecycle, SwapIsVisibleToTheNextRequest) {
                                       ds.polygons.begin() + half_count);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto half = BuildShared(half_set, grid, {.num_shards = 2, .build = bopts});
-  auto full = BuildShared(ds.polygons, grid,
-                          {.num_shards = 2, .build = bopts});
+  auto half = BuildShared(half_set, grid, {.build = bopts});
+  auto full = BuildShared(ds.polygons, grid, {.build = bopts});
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 800, grid, 63);
   act::JoinStats want_half =
       half->Join(pts.AsJoinInput(), {JoinMode::kExact, 1});
@@ -800,8 +778,7 @@ TEST(ServiceLifecycle, TrySubmitAsyncDeliversOnWorkerAndRejectsTyped) {
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto index = BuildShared(ds.polygons, grid,
-                           {.num_shards = 2, .build = bopts});
+  auto index = BuildShared(ds.polygons, grid, {.build = bopts});
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 400, grid, 61);
   act::JoinStats want = index->Join(pts.AsJoinInput(), {JoinMode::kExact, 1});
 
@@ -844,9 +821,9 @@ TEST(ServiceLifecycle, TrySubmitAsyncDeliversOnWorkerAndRejectsTyped) {
 // --- Live mutation (delta apply, journal) ----------------------------------
 
 TEST(DeltaService, ApplyDeltaAddByteIdenticalToFreshBuild) {
-  // The shard router is a static Hilbert-range split, so a delta-applied
-  // index and a from-scratch build over the final polygon set must agree
-  // shard by shard — byte-identical pairs in both modes, not merely
+  // Incremental insertion and a fresh build produce the same covering, so
+  // a delta-applied index and a from-scratch build over the final polygon
+  // set must agree — byte-identical pairs in both modes, not merely
   // equivalent results.
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.08);
@@ -861,9 +838,8 @@ TEST(DeltaService, ApplyDeltaAddByteIdenticalToFreshBuild) {
   act::BuildOptions bopts;
   bopts.threads = 1;
   bopts.precision_bound_m = 80.0;
-  auto base = BuildShared(base_set, grid, {.num_shards = 3, .build = bopts});
-  auto fresh = BuildShared(ds.polygons, grid,
-                           {.num_shards = 3, .build = bopts});
+  auto base = BuildShared(base_set, grid, {.build = bopts});
+  auto fresh = BuildShared(ds.polygons, grid, {.build = bopts});
 
   ShardedIndex::Delta delta;
   delta.add = add_set;
@@ -886,8 +862,7 @@ TEST(DeltaService, RemoveKeepsIdSlotsAndFiltersPairs) {
   wl::PolygonDataset ds = wl::Neighborhoods(0.08);
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto full = BuildShared(ds.polygons, grid,
-                          {.num_shards = 4, .build = bopts});
+  auto full = BuildShared(ds.polygons, grid, {.build = bopts});
 
   std::vector<uint32_t> removed;
   for (uint32_t gid = 1; gid < ds.polygons.size(); gid += 3) {
@@ -930,9 +905,8 @@ TEST(DeltaService, LiveMutationsTypedVerdictsAndDropLifecycle) {
                                      ds.polygons.end());
   act::BuildOptions bopts;
   bopts.threads = 1;
-  auto base = BuildShared(base_set, grid, {.num_shards = 2, .build = bopts});
-  auto fresh = BuildShared(ds.polygons, grid,
-                           {.num_shards = 2, .build = bopts});
+  auto base = BuildShared(base_set, grid, {.build = bopts});
+  auto fresh = BuildShared(ds.polygons, grid, {.build = bopts});
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 800, grid, 73);
   act::JoinStats want_full =
       fresh->Join(pts.AsJoinInput(), {JoinMode::kExact, 1});

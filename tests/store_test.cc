@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -30,8 +31,11 @@
 #include "service/service_catalog.h"
 #include "service/sharded_index.h"
 #include "store/checkpointer.h"
+#include "join2/cross_match.h"
 #include "store/snapshot_store.h"
 #include "workloads/datasets.h"
+#include "workloads/point_gen.h"
+#include "workloads/polygon_gen.h"
 
 namespace actjoin::store {
 namespace {
@@ -76,12 +80,11 @@ bool FileExists(const std::string& path) {
 }
 
 std::shared_ptr<const ShardedIndex> BuildIndex(
-    const std::vector<geom::Polygon>& polygons, const Grid& grid,
-    int num_shards) {
+    const std::vector<geom::Polygon>& polygons, const Grid& grid) {
   act::BuildOptions bopts;
   bopts.threads = 1;
-  return std::make_shared<const ShardedIndex>(ShardedIndex::Build(
-      polygons, grid, {.num_shards = num_shards, .build = bopts}));
+  return std::make_shared<const ShardedIndex>(
+      ShardedIndex::Build(polygons, grid, {.build = bopts}));
 }
 
 /// Everything in JoinStats is deterministic for a fixed input and index
@@ -103,7 +106,7 @@ void ExpectStatsEqual(const act::JoinStats& got, const act::JoinStats& want) {
 TEST(StoreSnapshot, PutLoadRoundTripIsByteIdenticalBothModes) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
-  auto index = BuildIndex(ds.polygons, grid, 4);
+  auto index = BuildIndex(ds.polygons, grid);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 3000, grid, 71);
 
   SnapshotStore store;
@@ -120,7 +123,6 @@ TEST(StoreSnapshot, PutLoadRoundTripIsByteIdenticalBothModes) {
   EXPECT_EQ(report.generation, 1u);
   EXPECT_FALSE(report.fell_back);
 
-  EXPECT_EQ(loaded->num_shards(), index->num_shards());
   EXPECT_EQ(loaded->num_polygons(), index->num_polygons());
   for (JoinMode mode : {JoinMode::kExact, JoinMode::kApproximate}) {
     act::JoinStats want = index->Join(pts.AsJoinInput(), {mode, 1});
@@ -132,14 +134,125 @@ TEST(StoreSnapshot, PutLoadRoundTripIsByteIdenticalBothModes) {
   }
 }
 
+TEST(StoreSnapshot, FaceStraddlingDatasetJoinsCrossMatchesAndRoundTrips) {
+  // The grid's faces are 120 x 90 degrees and meet at lng -60 and lat 0.
+  // A 3x3 partition centred there puts one polygon on four faces and its
+  // neighbours on two: the one trie indexes cells of every face, and the
+  // executor's tasks, the crossmatch's interval view and the store must
+  // all carry that across the face boundaries.
+  Grid grid;
+  const geom::Rect extent = geom::Rect::Of(-61, -1, -59, 1);
+  std::vector<geom::Polygon> zones = wl::JitteredPartition(
+      {.mbr = extent, .nx = 3, .ny = 3, .edge_depth = 2, .seed = 1717});
+  std::vector<geom::Polygon> blocks = wl::JitteredPartition(
+      {.mbr = geom::Rect::Of(-60.7, -0.6, -59.4, 0.7),
+       .nx = 4,
+       .ny = 3,
+       .edge_depth = 1,
+       .seed = 1818,
+       .overlap_dilation = 0.3});
+  auto index = BuildIndex(zones, grid);
+  auto other = BuildIndex(blocks, grid);
+
+  std::vector<uint32_t> faces_of(zones.size(), 0);  // bit per face
+  const act::SuperCovering& sc = index->index()->covering();
+  for (size_t i = 0; i < sc.size(); ++i) {
+    for (const act::PolygonRef& r : sc.refs(i)) {
+      faces_of[r.polygon_id] |= 1u << sc.cell(i).face();
+    }
+  }
+  int most_faces = 0;
+  for (uint32_t faces : faces_of) {
+    most_faces = std::max(most_faces, std::popcount(faces));
+  }
+  ASSERT_EQ(most_faces, 4);
+
+  wl::PointSet pts = wl::UniformPoints(geom::Rect::Of(-61.2, -1.2, -58.8, 1.2),
+                                       6000, 1919, grid);
+  const act::JoinInput input = pts.AsJoinInput();
+  const auto truth = act::BruteForceJoinPairs(input, zones);
+  ASSERT_FALSE(truth.empty());
+  std::vector<uint64_t> truth_counts(zones.size(), 0);
+  for (const auto& pair : truth) ++truth_counts[pair.second];
+  for (int threads : {1, 2, 4}) {
+    EXPECT_EQ(index->JoinPairs(input, JoinMode::kExact, threads), truth)
+        << threads << " threads";
+    act::JoinStats st = index->Join(input, {JoinMode::kExact, threads});
+    EXPECT_EQ(st.counts, truth_counts) << threads << " threads";
+    EXPECT_EQ(st.result_pairs, truth.size());
+  }
+
+  for (join2::CrossMatchMode mode :
+       {join2::CrossMatchMode::kIntersects, join2::CrossMatchMode::kContains}) {
+    EXPECT_EQ(join2::CrossMatchIndexes(*index, *other, {.mode = mode}),
+              join2::BruteForceCrossMatch(zones, blocks, mode))
+        << join2::ToString(mode);
+  }
+
+  SnapshotStore store;
+  std::string error;
+  ASSERT_TRUE(store.Open({.dir = FreshDir("face_straddling")}, &error))
+      << error;
+  ASSERT_TRUE(store.Put("zones", *index, nullptr, &error)) << error;
+  LoadReport report;
+  std::shared_ptr<const ShardedIndex> loaded = store.Load("zones", &report);
+  ASSERT_NE(loaded, nullptr) << report.detail;
+  EXPECT_EQ(loaded->JoinPairs(input, JoinMode::kExact), truth);
+  ExpectStatsEqual(loaded->Join(input, {JoinMode::kExact, 1}),
+                   index->Join(input, {JoinMode::kExact, 1}));
+}
+
+TEST(StoreSnapshot, PreviousFormatIsTypedBadVersion) {
+  // Format v1 held one section per Hilbert-range shard. A file stamped v1
+  // loads as the typed kBadVersion, and a warm start over a store holding
+  // only such a file takes that dataset offline without shifting ids.
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.03);
+  auto index = BuildIndex(ds.polygons, grid);
+
+  std::string dir = FreshDir("previous_format");
+  {
+    SnapshotStore store;
+    std::string error;
+    ASSERT_TRUE(store.Open({.dir = dir}, &error)) << error;
+    ASSERT_TRUE(store.Put("old", *index, nullptr, &error)) << error;
+    const std::string path = store.SnapshotPath("old", 1);
+    std::string bytes = ReadFile(path);
+    ASSERT_GE(bytes.size(), 8u);
+    const std::string v1("\x01\x00\x00\x00", 4);  // u32 version, LE
+    bytes.replace(4, 4, v1);
+    WriteFile(path, bytes);
+
+    LoadReport report;
+    EXPECT_EQ(store.Load("old", &report), nullptr);
+    EXPECT_EQ(report.error, LoadError::kBadVersion);
+    EXPECT_EQ(report.generation, 0u);
+  }
+
+  SnapshotStore store;
+  std::string error;
+  ASSERT_TRUE(store.Open({.dir = dir}, &error)) << error;
+  ServiceOptions sopts;
+  sopts.worker_threads = 1;
+  JoinService service(sopts);
+  std::vector<std::string> failed;
+  EXPECT_EQ(WarmStart(store, &service.catalog(), &failed), 0u);
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed[0].substr(0, 4), "old:");
+  EXPECT_EQ(service.catalog().IdOf("old"), std::optional<uint16_t>(0));
+  EXPECT_FALSE(service.catalog().Servable(0));
+  EXPECT_EQ(service.catalog().Add("fresh", index), std::optional<uint16_t>(1));
+  EXPECT_TRUE(service.catalog().Servable(1));
+}
+
 TEST(StoreSnapshot, MultipleDatasetsAndGenerations) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.04);
   const size_t half = ds.polygons.size() / 2;
   std::vector<geom::Polygon> first(ds.polygons.begin(),
                                    ds.polygons.begin() + half);
-  auto index_a = BuildIndex(first, grid, 2);
-  auto index_b = BuildIndex(ds.polygons, grid, 3);
+  auto index_a = BuildIndex(first, grid);
+  auto index_b = BuildIndex(ds.polygons, grid);
 
   SnapshotStore store;
   std::string error;
@@ -172,7 +285,7 @@ TEST(StoreSnapshot, MultipleDatasetsAndGenerations) {
 TEST(StoreSnapshot, RejectsInvalidDatasetNames) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.03);
-  auto index = BuildIndex(ds.polygons, grid, 1);
+  auto index = BuildIndex(ds.polygons, grid);
   SnapshotStore store;
   std::string error;
   ASSERT_TRUE(store.Open({.dir = FreshDir("names")}, &error)) << error;
@@ -187,7 +300,7 @@ TEST(StoreSnapshot, RejectsInvalidDatasetNames) {
 TEST(StoreSnapshot, ReopenServesWhatWasPut) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.04);
-  auto index = BuildIndex(ds.polygons, grid, 2);
+  auto index = BuildIndex(ds.polygons, grid);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 1500, grid, 72);
   act::JoinStats want = index->Join(pts.AsJoinInput(), {JoinMode::kExact, 1});
 
@@ -225,7 +338,7 @@ TEST(StoreCrash, OrphanSnapshotFromCrashBeforeManifestCommitIsInvisible) {
   const size_t half = ds.polygons.size() / 2;
   std::vector<geom::Polygon> first(ds.polygons.begin(),
                                    ds.polygons.begin() + half);
-  auto committed = BuildIndex(first, grid, 2);
+  auto committed = BuildIndex(first, grid);
 
   std::string dir = FreshDir("orphan");
   SnapshotStore store;
@@ -263,8 +376,8 @@ TEST(StoreCrash, ManifestTruncationAtEveryOffsetRecoversLastGeneration) {
   const size_t half = ds.polygons.size() / 2;
   std::vector<geom::Polygon> first(ds.polygons.begin(),
                                    ds.polygons.begin() + half);
-  auto gen1 = BuildIndex(first, grid, 2);
-  auto gen2 = BuildIndex(ds.polygons, grid, 2);
+  auto gen1 = BuildIndex(first, grid);
+  auto gen2 = BuildIndex(ds.polygons, grid);
 
   std::string dir = FreshDir("manifest_trunc");
   {
@@ -304,7 +417,7 @@ TEST(StoreCrash, ManifestTruncationAtEveryOffsetRecoversLastGeneration) {
 TEST(StoreCrash, BothManifestsGoneRecoversByDirectoryScan) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.04);
-  auto index = BuildIndex(ds.polygons, grid, 2);
+  auto index = BuildIndex(ds.polygons, grid);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 1000, grid, 73);
   act::JoinStats want = index->Join(pts.AsJoinInput(), {JoinMode::kExact, 1});
 
@@ -349,8 +462,8 @@ TEST(StoreCrash, SnapshotTruncationFallsBackToPreviousGeneration) {
   const size_t half = ds.polygons.size() / 2;
   std::vector<geom::Polygon> first(ds.polygons.begin(),
                                    ds.polygons.begin() + half);
-  auto gen1 = BuildIndex(first, grid, 2);
-  auto gen2 = BuildIndex(ds.polygons, grid, 2);
+  auto gen1 = BuildIndex(first, grid);
+  auto gen2 = BuildIndex(ds.polygons, grid);
 
   std::string dir = FreshDir("snap_trunc");
   SnapshotStore store;
@@ -397,8 +510,8 @@ TEST(StoreCrash, BitFlipInAnySectionIsTypedChecksumAndFallsBack) {
   const size_t half = ds.polygons.size() / 2;
   std::vector<geom::Polygon> first(ds.polygons.begin(),
                                    ds.polygons.begin() + half);
-  auto gen1 = BuildIndex(first, grid, 2);
-  auto gen2 = BuildIndex(ds.polygons, grid, 2);
+  auto gen1 = BuildIndex(first, grid);
+  auto gen2 = BuildIndex(ds.polygons, grid);
 
   std::string dir = FreshDir("bitflip");
   SnapshotStore store;
@@ -428,7 +541,7 @@ TEST(StoreCrash, BitFlipInAnySectionIsTypedChecksumAndFallsBack) {
 TEST(StoreGc, KeepsConfiguredGenerationsRemovesTmpAndStrays) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.03);
-  auto index = BuildIndex(ds.polygons, grid, 1);
+  auto index = BuildIndex(ds.polygons, grid);
 
   std::string dir = FreshDir("gc");
   SnapshotStore store;
@@ -462,8 +575,8 @@ TEST(StoreCheckpointer, PersistsEachSwapOnceAndGarbageCollects) {
   const size_t half = ds.polygons.size() / 2;
   std::vector<geom::Polygon> first(ds.polygons.begin(),
                                    ds.polygons.begin() + half);
-  auto small = BuildIndex(first, grid, 2);
-  auto big = BuildIndex(ds.polygons, grid, 2);
+  auto small = BuildIndex(first, grid);
+  auto big = BuildIndex(ds.polygons, grid);
 
   SnapshotStore store;
   std::string error;
@@ -505,7 +618,7 @@ TEST(StoreCheckpointer, PersistsEachSwapOnceAndGarbageCollects) {
 TEST(StoreCheckpointer, BackgroundThreadPersistsWithoutBlockingServing) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.04);
-  auto index = BuildIndex(ds.polygons, grid, 2);
+  auto index = BuildIndex(ds.polygons, grid);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 500, grid, 74);
 
   SnapshotStore store;
@@ -553,8 +666,8 @@ TEST(StoreWarmRestart, ServesEveryDatasetByteIdenticalOverTheWire) {
   std::string dir = FreshDir("warm");
   std::vector<service::JoinResult> want;  // [dataset][mode] flattened
   {
-    auto zones = BuildIndex(first, grid, 2);
-    auto census = BuildIndex(ds.polygons, grid, 4);
+    auto zones = BuildIndex(first, grid);
+    auto census = BuildIndex(ds.polygons, grid);
     ServiceOptions sopts;
     sopts.worker_threads = 2;
     JoinService service(sopts);  // empty catalog: the multi-dataset ctor
@@ -631,7 +744,7 @@ TEST(StoreWarmRestart, ServesEveryDatasetByteIdenticalOverTheWire) {
 TEST(StoreWarmRestart, UnloadableDatasetGoesOfflineWithoutShiftingIds) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.03);
-  auto index = BuildIndex(ds.polygons, grid, 2);
+  auto index = BuildIndex(ds.polygons, grid);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 200, grid, 76);
 
   std::string dir = FreshDir("warm_partial");
@@ -681,7 +794,7 @@ TEST(DeltaStore, PutDeltaLoadReplaysChainByteIdenticalBothModes) {
                                         ds.polygons.begin() + half);
   std::vector<geom::Polygon> add_polys(ds.polygons.begin() + half,
                                        ds.polygons.end());
-  auto base = BuildIndex(base_polys, grid, 2);
+  auto base = BuildIndex(base_polys, grid);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 2000, grid, 81);
 
   SnapshotStore store;
@@ -757,7 +870,7 @@ TEST(DeltaStore, CorruptMiddleDeltaFallsBackTypedToLastFullGeneration) {
                                   ds.polygons.begin() + 2 * third);
   std::vector<geom::Polygon> add2(ds.polygons.begin() + 2 * third,
                                   ds.polygons.end());
-  auto base = BuildIndex(base_polys, grid, 2);
+  auto base = BuildIndex(base_polys, grid);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 1000, grid, 82);
   act::JoinStats base_want =
       base->Join(pts.AsJoinInput(), {JoinMode::kExact, 1});
@@ -820,7 +933,7 @@ TEST(DeltaStore, CheckpointerWritesDeltasAndCompactsAtChainLimit) {
   const size_t half = ds.polygons.size() / 2;
   std::vector<geom::Polygon> base_polys(ds.polygons.begin(),
                                         ds.polygons.begin() + half);
-  auto base = BuildIndex(base_polys, grid, 2);
+  auto base = BuildIndex(base_polys, grid);
   wl::PointSet pts = wl::TaxiPoints(ds.mbr, 1000, grid, 83);
 
   SnapshotStore store;
@@ -887,8 +1000,8 @@ TEST(DeltaStore, StopQuiescesNeverStartedCheckpointerAndRacingSwaps) {
   const size_t half = ds.polygons.size() / 2;
   std::vector<geom::Polygon> first(ds.polygons.begin(),
                                    ds.polygons.begin() + half);
-  auto small = BuildIndex(first, grid, 2);
-  auto big = BuildIndex(ds.polygons, grid, 2);
+  auto small = BuildIndex(first, grid);
+  auto big = BuildIndex(ds.polygons, grid);
 
   {
     // Never started: Stop still owes the quiesce sweeps.
@@ -959,7 +1072,7 @@ TEST(DeltaStore, WarmRestartOverDeltaChainByteIdenticalOverTheWire) {
   std::string dir = FreshDir("warm_delta");
   std::vector<service::JoinResult> want;  // [mode] before the restart
   {
-    auto base = BuildIndex(base_polys, grid, 2);
+    auto base = BuildIndex(base_polys, grid);
     ServiceOptions sopts;
     sopts.worker_threads = 2;
     JoinService service(base, sopts);
@@ -995,7 +1108,7 @@ TEST(DeltaStore, WarmRestartOverDeltaChainByteIdenticalOverTheWire) {
   }  // the process is gone; only the store directory survives
 
   // --- Restart from full + delta + delta ---
-  auto fresh_full = BuildIndex(ds.polygons, grid, 2);
+  auto fresh_full = BuildIndex(ds.polygons, grid);
   {
     SnapshotStore store;
     std::string error;

@@ -72,12 +72,9 @@ using service::SubscriptionMode;
 using service::SubscriptionSpec;
 
 std::shared_ptr<const ShardedIndex> BuildShared(
-    const std::vector<geom::Polygon>& polygons, const Grid& grid,
-    int num_shards) {
-  ShardingOptions opts;
-  opts.num_shards = num_shards;
+    const std::vector<geom::Polygon>& polygons, const Grid& grid) {
   return std::make_shared<const ShardedIndex>(
-      ShardedIndex::Build(polygons, grid, opts));
+      ShardedIndex::Build(polygons, grid, {}));
 }
 
 QueryBatch MakeBatch(const wl::PointSet& pts, JoinMode mode) {
@@ -343,7 +340,7 @@ TEST(SubscribeMatcher, FoldedEventsMatchOracleAcrossMotionAndMutations) {
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   ServiceOptions sopts;
   sopts.worker_threads = 1;
-  JoinService service(BuildShared(ds.polygons, grid, 2),
+  JoinService service(BuildShared(ds.polygons, grid),
                       sopts);
   SubscriptionMatcher matcher(&service.catalog());
   service.set_subscription_matcher(&matcher);
@@ -425,7 +422,7 @@ TEST(SubscribeMatcher, ModeFilterIsEmissionOnlyAndSeqsStayDense) {
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   ServiceOptions sopts;
   sopts.worker_threads = 1;
-  JoinService service(BuildShared(ds.polygons, grid, 2),
+  JoinService service(BuildShared(ds.polygons, grid),
                       sopts);
   SubscriptionMatcher matcher(&service.catalog());
   service.set_subscription_matcher(&matcher);
@@ -482,7 +479,7 @@ TEST(SubscribeMatcher, EpochTagsNeverRegressUnderConcurrentSwaps) {
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   ServiceOptions sopts;
   sopts.worker_threads = 4;
-  JoinService service(BuildShared(ds.polygons, grid, 2), sopts);
+  JoinService service(BuildShared(ds.polygons, grid), sopts);
   SubscriptionMatcher matcher(&service.catalog());
   service.set_subscription_matcher(&matcher);
 
@@ -529,7 +526,7 @@ TEST(SubscribeMatcher, EpochTagsNeverRegressUnderConcurrentSwaps) {
 TEST(SubscribeMatcher, AddRefusesUnknownDatasetAndOutOfRangeIds) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
-  JoinService service(BuildShared(ds.polygons, grid, 2), {});
+  JoinService service(BuildShared(ds.polygons, grid), {});
   SubscriptionMatcher matcher(&service.catalog());
 
   EventLog log;
@@ -548,33 +545,19 @@ TEST(SubscribeMatcher, AddRefusesUnknownDatasetAndOutOfRangeIds) {
   EXPECT_EQ(info->watched_polygons, 3u);
 }
 
-/// The kCellRange selector's definition over a snapshot's coverings:
-/// every polygon referenced by a covering cell whose leaf-id range, clipped
-/// to its shard's Hilbert interval, meets [lo, hi].
+/// The kCellRange selector's definition over a snapshot's covering:
+/// every polygon referenced by a covering cell whose leaf-id range meets
+/// [lo, hi].
 std::set<uint32_t> CellRangeWatched(const ShardedIndex& index, uint64_t lo,
                                     uint64_t hi) {
   std::set<uint32_t> out;
-  const unsigned __int128 ns = static_cast<unsigned __int128>(
-      index.num_shards());
-  for (int s = 0; s < index.num_shards(); ++s) {
-    const act::PolygonIndex* shard = index.shard_index(s);
-    if (shard == nullptr) continue;
-    const uint64_t shard_lo = static_cast<uint64_t>(
-        (static_cast<unsigned __int128>(s) << 64) / ns);
-    const uint64_t shard_hi =
-        s + 1 == index.num_shards()
-            ? UINT64_MAX
-            : static_cast<uint64_t>(
-                  (static_cast<unsigned __int128>(s + 1) << 64) / ns) - 1;
-    const act::SuperCovering& sc = shard->covering();
-    for (size_t i = 0; i < sc.size(); ++i) {
-      const uint64_t a = std::max({sc.cell(i).range_min().id(), shard_lo, lo});
-      const uint64_t b = std::min({sc.cell(i).range_max().id(), shard_hi, hi});
-      if (a > b) continue;
-      for (const act::PolygonRef& r : sc.refs(i)) {
-        out.insert(index.shard_polygon_ids(s)[r.polygon_id]);
-      }
+  if (index.index() == nullptr) return out;
+  const act::SuperCovering& sc = index.index()->covering();
+  for (size_t i = 0; i < sc.size(); ++i) {
+    if (sc.cell(i).range_max().id() < lo || sc.cell(i).range_min().id() > hi) {
+      continue;
     }
+    for (const act::PolygonRef& r : sc.refs(i)) out.insert(r.polygon_id);
   }
   return out;
 }
@@ -591,7 +574,7 @@ TEST(SubscribeMatcher, SharedProbeServesEverySelectorAndALateSubscriber) {
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   ServiceOptions sopts;
   sopts.worker_threads = 1;
-  JoinService service(BuildShared(ds.polygons, grid, 2), sopts);
+  JoinService service(BuildShared(ds.polygons, grid), sopts);
   SubscriptionMatcher matcher(&service.catalog());
   service.set_subscription_matcher(&matcher);
 
@@ -759,7 +742,7 @@ TEST(SubscribeMatcher, SharedProbeCountsEachReevaluatedTrackOnce) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   service::ServiceCatalog catalog;
-  ASSERT_TRUE(catalog.Add("zones", BuildShared(ds.polygons, grid, 2)));
+  ASSERT_TRUE(catalog.Add("zones", BuildShared(ds.polygons, grid)));
   SubscriptionMatcher one(&catalog), four(&catalog);
   util::MetricsRegistry one_metrics, four_metrics;
   one.RegisterMetrics(&one_metrics);
@@ -852,7 +835,7 @@ TEST(SubscribeMatcher, AddDoesNotWaitForARunningTransition) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   service::ServiceCatalog catalog;
-  ASSERT_TRUE(catalog.Add("zones", BuildShared(ds.polygons, grid, 2)));
+  ASSERT_TRUE(catalog.Add("zones", BuildShared(ds.polygons, grid)));
   SubscriptionMatcher matcher(&catalog);
 
   // The first delivery blocks until released, so the feeding thread sits
@@ -910,7 +893,7 @@ TEST(SubscribeMatcher, LastRemoveFreesSharedTrackState) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.05);
   service::ServiceCatalog catalog;
-  ASSERT_TRUE(catalog.Add("zones", BuildShared(ds.polygons, grid, 2)));
+  ASSERT_TRUE(catalog.Add("zones", BuildShared(ds.polygons, grid)));
   SubscriptionMatcher matcher(&catalog);
   util::MetricsRegistry metrics;
   matcher.RegisterMetrics(&metrics);
@@ -973,7 +956,7 @@ struct TestServer {
     Grid grid;
     TestServer out;
     out.ds = wl::Neighborhoods(0.05);
-    out.index = BuildShared(out.ds.polygons, grid, 2);
+    out.index = BuildShared(out.ds.polygons, grid);
     out.service = std::make_unique<JoinService>(out.index, sopts);
     out.server = std::make_unique<JoinServer>(out.service.get(), nopts);
     std::string error;
